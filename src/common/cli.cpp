@@ -1,5 +1,6 @@
 #include "common/cli.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -117,6 +118,15 @@ std::vector<std::int64_t> CliFlags::get_int_list(
     if (!tok.empty()) out.push_back(std::strtoll(tok.c_str(), nullptr, 10));
   }
   return out;
+}
+
+std::optional<std::string> CliFlags::unknown_flag(
+    const std::vector<std::string>& known) const {
+  for (const auto& [name, value] : values_) {
+    if (std::find(known.begin(), known.end(), name) == known.end())
+      return name;
+  }
+  return std::nullopt;
 }
 
 }  // namespace mmwave::common

@@ -48,6 +48,12 @@ class CliFlags {
   std::vector<std::int64_t> get_int_list(
       const std::string& name, const std::vector<std::int64_t>& def) const;
 
+  /// The first given flag (name without "--", in name order) that is not in
+  /// `known`, or nullopt when every flag is known.  Lets a command refuse a
+  /// misspelled or retired flag instead of running on its default.
+  std::optional<std::string> unknown_flag(
+      const std::vector<std::string>& known) const;
+
   /// Positional (non-flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }
 

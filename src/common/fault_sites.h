@@ -36,7 +36,7 @@ inline constexpr const char* kCheckpointCorrupt = "checkpoint.corrupt_payload";
 /// instance perturbed again under our feet); the column must be dropped,
 /// never entered into the master.
 inline constexpr const char* kResolveDropColumn = "resolve.drop_column";
-/// A v2 checkpoint pool-metadata record reads as semantically bad: the
+/// A checkpoint pool-metadata record reads as semantically bad: the
 /// parser must degrade to cold metadata (columns kept, scores reset),
 /// never reject the checkpoint or crash.
 inline constexpr const char* kCheckpointBadPoolRecord =
@@ -57,17 +57,17 @@ inline constexpr const char* kCheckpointDeltaTornWrite =
 /// next save retries the compaction.
 inline constexpr const char* kCheckpointCompactCrash =
     "checkpoint.compact_crash";
-/// A v3 checkpoint session cursor reads as semantically bad: the parser
+/// A checkpoint session cursor reads as semantically bad: the parser
 /// must degrade to "no session" (solver pool kept, stream restarts the
 /// session cold), never reject the checkpoint or crash.
 inline constexpr const char* kSessionCursorCorrupt =
     "session.cursor_corrupt";
-/// A v3 pool-index record (the multi-instance neighbour index) reads as
+/// A pool-index record (the multi-instance neighbour index) reads as
 /// semantically bad: the parser must degrade to an empty index (columns
 /// kept, neighbour seeding rebuilt from scratch), never reject the file.
 inline constexpr const char* kCheckpointBadIndexRecord =
     "checkpoint.v3_bad_index_record";
-/// The client-buffer state carried by a v4 session cursor reads as
+/// The client-buffer state carried by a session cursor reads as
 /// semantically bad at resume time (NaN occupancy after a torn write, a
 /// playing-without-started flags value): run_blockage_session must reject
 /// the resume and run fresh from period 0 (warm pool kept), never replay

@@ -16,7 +16,6 @@ namespace {
 
 using detail::LineReader;
 using detail::append_double;
-using detail::append_hex64;
 using detail::expect_double;
 using detail::expect_int;
 using detail::expect_kv;
@@ -49,7 +48,7 @@ class FingerprintHasher {
   std::uint64_t hash_ = 1469598103934665603ULL;
 };
 
-/// Serializes the v3 session section (grammar in DESIGN §12).  The vectors
+/// Serializes the session section (grammar in DESIGN §12).  The vectors
 /// carry explicit counts so the serializer is total over any StreamCursor;
 /// the parser's semantic checks enforce count == links on load.
 void append_session(std::string& body, const CgCheckpoint& ckpt) {
@@ -64,7 +63,7 @@ void append_session(std::string& body, const CgCheckpoint& ckpt) {
   for (const StreamGopRecord& g : s.gops) detail::append_gop_record(body, g);
 }
 
-/// Parses the v3 pool-index section.  Structural damage (wrong key, token
+/// Parses the pool-index section.  Structural damage (wrong key, token
 /// count, truncation) is a hard parse error; *semantic* damage — a record
 /// whose values are out of range, or the injected
 /// faults::kCheckpointBadIndexRecord — degrades to an empty index (columns
@@ -101,13 +100,13 @@ void append_session(std::string& body, const CgCheckpoint& ckpt) {
   return common::Status::Ok();
 }
 
-/// Parses the v3 session section.  Same split as the pool index: structural
+/// Parses the session section.  Same split as the pool index: structural
 /// damage is a hard error, semantic damage (an out-of-range cursor, a
 /// replay-impossible field combination, or the injected
 /// faults::kSessionCursorCorrupt) degrades to "no session" — the solver
 /// pool stays warm, only the stream restarts its session cold.
 [[nodiscard]] common::Status parse_session(LineReader& reader,
-                                           CgCheckpoint* ckpt, int version) {
+                                           CgCheckpoint* ckpt) {
   long long present = 0;
   {
     auto v = expect_int(reader, "session", 0, 1);
@@ -118,8 +117,8 @@ void append_session(std::string& body, const CgCheckpoint& ckpt) {
   StreamCursor s;
   bool semantic_ok = true;
   {
-    const common::Status st = detail::parse_cursor_block(
-        reader, &s, &semantic_ok, /*with_buffers=*/version >= 4);
+    const common::Status st =
+        detail::parse_cursor_block(reader, &s, &semantic_ok);
     if (!st.ok()) return st;
   }
   long long num_gops_records = 0;
@@ -145,7 +144,7 @@ void append_session(std::string& body, const CgCheckpoint& ckpt) {
                 static_cast<int>(s.delivered_bits.size()) == ckpt->links &&
                 static_cast<int>(s.blocked.size()) == ckpt->links &&
                 s.carryover_stall >= 0.0 && s.blocked_fraction_sum >= 0.0;
-  // Buffer state (v4): either absent or one entry per link, with layer
+  // Buffer state: either absent or one entry per link, with layer
   // counters bounded by the completed-period count.
   semantic_ok = semantic_ok &&
                 (s.buffers.empty() ||
@@ -176,6 +175,13 @@ std::uint64_t fnv1a64(std::string_view bytes) {
     hash *= 1099511628211ULL;
   }
   return hash;
+}
+
+std::string hex64(std::uint64_t value) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(value));
+  return buf;
 }
 
 std::uint64_t instance_fingerprint(
@@ -213,6 +219,35 @@ std::uint64_t instance_fingerprint(
   return h.hash();
 }
 
+std::vector<PoolColumnMeta> score_pool(const net::Network& net,
+                                       const CgResult& result,
+                                       std::uint64_t fingerprint,
+                                       std::int64_t epoch) {
+  std::vector<PoolColumnMeta> meta(result.pool.size());
+  for (std::size_t s = 0; s < result.pool.size(); ++s) {
+    PoolColumnMeta& m = meta[s];
+    m.fingerprint = fingerprint;
+    m.last_used_epoch = epoch;
+    m.in_basis =
+        s < result.pool_tau.size() && result.pool_tau[s] > 0.0;
+    double priced = 0.0;
+    const auto hp =
+        result.pool[s].rate_column_bits_per_slot(net, net::Layer::Hp);
+    const auto lp =
+        result.pool[s].rate_column_bits_per_slot(net, net::Layer::Lp);
+    for (int l = 0; l < net.num_links(); ++l) {
+      priced += (l < static_cast<int>(result.duals_hp.size())
+                     ? result.duals_hp[l] * hp[l]
+                     : 0.0) +
+                (l < static_cast<int>(result.duals_lp.size())
+                     ? result.duals_lp[l] * lp[l]
+                     : 0.0);
+    }
+    m.last_reduced_cost = std::isfinite(priced) ? 1.0 - priced : 0.0;
+  }
+  return meta;
+}
+
 CgCheckpoint make_checkpoint(const net::Network& net,
                              const std::vector<video::LinkDemand>& demands,
                              const CgResult& result) {
@@ -236,29 +271,7 @@ CgCheckpoint make_checkpoint(const net::Network& net,
   ckpt.pool_tau = result.pool_tau;
   if (ckpt.pool_tau.size() != ckpt.pool.size())
     ckpt.pool_tau.assign(ckpt.pool.size(), 0.0);
-  // Cold lifecycle metadata derived from the solve itself: reduced costs
-  // under the final duals, basis membership from tau.  core::score_pool
-  // computes the same record with a live PoolManager epoch; epoch 0 here
-  // means "age unknown" to whoever imports this checkpoint.
-  ckpt.pool_meta.resize(ckpt.pool.size());
-  for (std::size_t s = 0; s < ckpt.pool.size(); ++s) {
-    PoolColumnMeta& m = ckpt.pool_meta[s];
-    m.fingerprint = ckpt.fingerprint;
-    m.last_used_epoch = 0;
-    m.in_basis = ckpt.pool_tau[s] > 0.0;
-    double priced = 0.0;
-    const auto hp = ckpt.pool[s].rate_column_bits_per_slot(net, net::Layer::Hp);
-    const auto lp = ckpt.pool[s].rate_column_bits_per_slot(net, net::Layer::Lp);
-    for (int l = 0; l < net.num_links(); ++l) {
-      priced += (l < static_cast<int>(ckpt.duals_hp.size())
-                     ? ckpt.duals_hp[l] * hp[l]
-                     : 0.0) +
-                (l < static_cast<int>(ckpt.duals_lp.size())
-                     ? ckpt.duals_lp[l] * lp[l]
-                     : 0.0);
-    }
-    m.last_reduced_cost = std::isfinite(priced) ? 1.0 - priced : 0.0;
-  }
+  ckpt.pool_meta = score_pool(net, result, ckpt.fingerprint, /*epoch=*/0);
   return ckpt;
 }
 
@@ -266,7 +279,7 @@ std::string serialize_checkpoint(const CgCheckpoint& ckpt) {
   std::string body;
   body.reserve(256 + ckpt.pool.size() * 96);
   body += "fingerprint = ";
-  append_hex64(body, ckpt.fingerprint);
+  body += hex64(ckpt.fingerprint);
   body += "\nlinks = " + std::to_string(ckpt.links);
   body += "\nchannels = " + std::to_string(ckpt.channels);
   body += "\niterations = " + std::to_string(ckpt.iterations);
@@ -292,7 +305,7 @@ std::string serialize_checkpoint(const CgCheckpoint& ckpt) {
     detail::append_column(body, ckpt.pool[s],
                           s < ckpt.pool_tau.size() ? ckpt.pool_tau[s] : 0.0);
   }
-  // v2 pool-metadata section: one record per column when metadata is
+  // Pool-metadata section: one record per column when metadata is
   // aligned, an explicit empty section otherwise (cold metadata).
   const bool have_meta = ckpt.pool_meta.size() == ckpt.pool.size();
   body += "pool_meta = " +
@@ -302,8 +315,8 @@ std::string serialize_checkpoint(const CgCheckpoint& ckpt) {
     for (const PoolColumnMeta& m : ckpt.pool_meta)
       detail::append_meta_record(body, m);
   }
-  // v3 sections: delta-log binding, the multi-instance neighbour index, and
-  // the stream-session cursor.
+  // Delta-log binding, the multi-instance neighbour index, and the
+  // stream-session cursor.
   body += "base_seq = " + std::to_string(ckpt.base_seq);
   body += "\npool_epoch = " + std::to_string(ckpt.pool_epoch);
   body += "\npool_index = " + std::to_string(ckpt.pool_index.size());
@@ -318,7 +331,7 @@ std::string serialize_checkpoint(const CgCheckpoint& ckpt) {
   out += kMagic;
   out += " v" + std::to_string(kCheckpointVersion);
   out += "\nchecksum = ";
-  append_hex64(out, fnv1a64(body));
+  out += hex64(fnv1a64(body));
   out += '\n';
   out += body;
   return out;
@@ -341,11 +354,11 @@ std::string serialize_checkpoint(const CgCheckpoint& ckpt) {
                        &version)) {
     return parse_error(1, "malformed version field");
   }
-  if (version < kMinCheckpointVersion || version > kCheckpointVersion) {
+  if (version != kCheckpointVersion) {
     return parse_error(
         1, "unsupported checkpoint version v" + std::to_string(version) +
-               " (this build reads v" + std::to_string(kMinCheckpointVersion) +
-               "..v" + std::to_string(kCheckpointVersion) + ")");
+               " (this build reads v" + std::to_string(kCheckpointVersion) +
+               " only)");
   }
 
   const std::size_t second_nl = text.find('\n', first_nl + 1);
@@ -442,69 +455,64 @@ std::string serialize_checkpoint(const CgCheckpoint& ckpt) {
     ckpt.pool_tau.push_back(tau);
   }
 
-  // ---- v2 pool-metadata section ------------------------------------------
+  // ---- Pool-metadata section ---------------------------------------------
   // Structural damage (wrong key, wrong token count, truncation) is a hard
   // parse error like everywhere else; *semantic* damage — a record whose
   // values are out of their documented ranges — only degrades the metadata
   // to cold (pool_meta cleared, pool_meta_degraded set).  The columns are
   // the expensive artifact; their lifecycle scores are merely advisory.
-  if (version >= 2) {
-    long long num_meta = 0;
-    {
-      auto v = expect_int(reader, "pool_meta", 0, detail::kMaxColumns);
-      if (!v.ok()) return v.status();
-      num_meta = v.value();
+  long long num_meta = 0;
+  {
+    auto v = expect_int(reader, "pool_meta", 0, detail::kMaxColumns);
+    if (!v.ok()) return v.status();
+    num_meta = v.value();
+  }
+  if (num_meta != 0 && num_meta != num_columns) {
+    ckpt.pool_meta_degraded = true;  // count skew: scores unusable
+  }
+  ckpt.pool_meta.reserve(static_cast<std::size_t>(num_meta));
+  for (long long s = 0; s < num_meta; ++s) {
+    PoolColumnMeta m;
+    bool record_ok = true;
+    const common::Status st =
+        detail::parse_meta_record(reader, &m, &record_ok);
+    if (!st.ok()) return st;
+    if (!record_ok ||
+        common::fault_fires(common::faults::kCheckpointBadPoolRecord)) {
+      ckpt.pool_meta_degraded = true;
+      continue;  // keep consuming the declared records
     }
-    if (num_meta != 0 && num_meta != num_columns) {
-      ckpt.pool_meta_degraded = true;  // count skew: scores unusable
+    ckpt.pool_meta.push_back(m);
+  }
+  if (ckpt.pool_meta_degraded || ckpt.pool_meta.size() != ckpt.pool.size()) {
+    if (!ckpt.pool_meta.empty() || num_meta > 0) {
+      MMWAVE_LOG_WARN << "checkpoint: pool metadata degraded to cold "
+                         "(columns kept, scores reset)";
     }
-    ckpt.pool_meta.reserve(static_cast<std::size_t>(num_meta));
-    for (long long s = 0; s < num_meta; ++s) {
-      PoolColumnMeta m;
-      bool record_ok = true;
-      const common::Status st = detail::parse_meta_record(reader, &m,
-                                                          &record_ok);
-      if (!st.ok()) return st;
-      if (!record_ok ||
-          common::fault_fires(common::faults::kCheckpointBadPoolRecord)) {
-        ckpt.pool_meta_degraded = true;
-        continue;  // keep consuming the declared records
-      }
-      ckpt.pool_meta.push_back(m);
-    }
-    if (ckpt.pool_meta_degraded ||
-        ckpt.pool_meta.size() != ckpt.pool.size()) {
-      if (!ckpt.pool_meta.empty() || num_meta > 0) {
-        MMWAVE_LOG_WARN << "checkpoint: pool metadata degraded to cold "
-                           "(columns kept, scores reset)";
-      }
-      ckpt.pool_meta_degraded = num_meta > 0;
-      ckpt.pool_meta.clear();
-    }
+    ckpt.pool_meta_degraded = num_meta > 0;
+    ckpt.pool_meta.clear();
   }
 
-  // ---- v3 sections: delta binding, pool index, session cursor ------------
-  if (version >= 3) {
-    {
-      auto v = expect_int(reader, "base_seq", 0,
-                          std::numeric_limits<long long>::max() - 1);
-      if (!v.ok()) return v.status();
-      ckpt.base_seq = v.value();
-    }
-    {
-      auto v = expect_int(reader, "pool_epoch", 0,
-                          std::numeric_limits<long long>::max() - 1);
-      if (!v.ok()) return v.status();
-      ckpt.pool_epoch = v.value();
-    }
-    {
-      const common::Status st = parse_pool_index(reader, &ckpt);
-      if (!st.ok()) return st;
-    }
-    {
-      const common::Status st = parse_session(reader, &ckpt, version);
-      if (!st.ok()) return st;
-    }
+  // ---- Delta binding, pool index, session cursor -------------------------
+  {
+    auto v = expect_int(reader, "base_seq", 0,
+                        std::numeric_limits<long long>::max() - 1);
+    if (!v.ok()) return v.status();
+    ckpt.base_seq = v.value();
+  }
+  {
+    auto v = expect_int(reader, "pool_epoch", 0,
+                        std::numeric_limits<long long>::max() - 1);
+    if (!v.ok()) return v.status();
+    ckpt.pool_epoch = v.value();
+  }
+  {
+    const common::Status st = parse_pool_index(reader, &ckpt);
+    if (!st.ok()) return st;
+  }
+  {
+    const common::Status st = parse_session(reader, &ckpt);
+    if (!st.ok()) return st;
   }
 
   // ---- Terminator + no trailing garbage ----------------------------------
@@ -525,13 +533,8 @@ std::string serialize_checkpoint(const CgCheckpoint& ckpt) {
   return ckpt;
 }
 
-[[nodiscard]] common::Status save_checkpoint(const CgCheckpoint& ckpt,
-                               const std::string& path) {
-  if (common::fault_fires(common::faults::kCheckpointWriteFail)) {
-    return common::Status::Error(common::ErrorCode::kIoError,
-                                 "checkpoint write failed (injected fault)");
-  }
-  const std::string text = serialize_checkpoint(ckpt);
+[[nodiscard]] common::Status write_file_atomic(const std::string& path,
+                                               std::string_view bytes) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
@@ -539,10 +542,10 @@ std::string serialize_checkpoint(const CgCheckpoint& ckpt) {
         common::ErrorCode::kIoError,
         "cannot open '" + tmp + "' for writing: " + std::strerror(errno));
   }
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), f);
+  const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
   const bool flushed = std::fflush(f) == 0;
   const bool closed = std::fclose(f) == 0;
-  if (written != text.size() || !flushed || !closed) {
+  if (written != bytes.size() || !flushed || !closed) {
     std::remove(tmp.c_str());
     return common::Status::Error(common::ErrorCode::kIoError,
                                  "short write to '" + tmp + "'");
@@ -557,24 +560,44 @@ std::string serialize_checkpoint(const CgCheckpoint& ckpt) {
   return common::Status::Ok();
 }
 
-[[nodiscard]] common::Expected<CgCheckpoint> load_checkpoint(
-    const std::string& path) {
+[[nodiscard]] common::Status detail::read_file(const std::string& path,
+                                               std::string* out,
+                                               bool* missing) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
+    if (missing != nullptr) *missing = errno == ENOENT;
     return common::Status::Error(
         common::ErrorCode::kIoError,
-        "cannot open checkpoint '" + path + "': " + std::strerror(errno));
+        "cannot open '" + path + "': " + std::strerror(errno));
   }
-  std::string text;
+  if (missing != nullptr) *missing = false;
+  out->clear();
   char buf[1 << 16];
   std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
+  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out->append(buf, n);
   const bool read_error = std::ferror(f) != 0;
   std::fclose(f);
   if (read_error) {
     return common::Status::Error(common::ErrorCode::kIoError,
-                                 "read error on checkpoint '" + path + "'");
+                                 "read error on '" + path + "'");
   }
+  return common::Status::Ok();
+}
+
+[[nodiscard]] common::Status save_checkpoint(const CgCheckpoint& ckpt,
+                                             const std::string& path) {
+  if (common::fault_fires(common::faults::kCheckpointWriteFail)) {
+    return common::Status::Error(common::ErrorCode::kIoError,
+                                 "checkpoint write failed (injected fault)");
+  }
+  return write_file_atomic(path, serialize_checkpoint(ckpt));
+}
+
+[[nodiscard]] common::Expected<CgCheckpoint> load_checkpoint(
+    const std::string& path) {
+  std::string text;
+  const common::Status st = detail::read_file(path, &text);
+  if (!st.ok()) return st;
   // Scripted corruption: flip one payload byte; the checksum must catch it
   // and the caller must degrade to a cold start, never use the bad state.
   if (common::fault_fires(common::faults::kCheckpointCorrupt) &&

@@ -4,9 +4,11 @@
 // schedules built by pricing; it stays valid (or cheaply repairable) across
 // demand changes and partial topology perturbations.  CgCheckpoint captures
 // that pool plus the surrounding solver state — instance fingerprint,
-// per-column durations, duals, LB/UB, iteration counters — in a versioned,
-// checksummed, human-readable text format so a scheduling service can
-// survive process death and re-enter CG warm instead of cold.
+// per-column durations, duals, LB/UB, iteration counters, the pool
+// manager's lifecycle metadata and neighbour index, and an optional
+// stream-session cursor — in a versioned, checksummed, human-readable text
+// format so a scheduling service can survive process death and re-enter CG
+// warm instead of cold.
 //
 // Robustness contract (enforced by tests/core/checkpoint_test.cpp, the
 // checkpoint fuzz harness, and the fault-injection sites in
@@ -17,12 +19,15 @@
 //     (caught by the FNV-1a payload checksum), version skew, out-of-range
 //     field — returns a structured common::Status, never crashes and never
 //     yields a partially-parsed checkpoint;
+//   * only kCheckpointVersion is read: a file of any other version is
+//     refused as version skew, which every caller treats as a cold start;
 //   * fingerprint mismatches are detectable by the caller, so a checkpoint
 //     can never be silently replayed against the wrong instance;
-//   * the v2 pool-metadata section is advisory: a structurally sound file
-//     whose metadata values are out of range degrades to cold metadata
-//     (columns kept, scores reset) instead of rejecting the checkpoint —
-//     lifecycle hints must never cost the warm-start capital they score.
+//   * the pool-metadata, pool-index and session sections are advisory: a
+//     structurally sound file whose values there are out of range degrades
+//     that section alone (columns kept, scores/index/cursor reset) instead
+//     of rejecting the checkpoint — lifecycle hints must never cost the
+//     warm-start capital they score.
 #pragma once
 
 #include <cstdint>
@@ -39,20 +44,15 @@ namespace mmwave::core {
 
 struct CgResult;  // column_generation.h
 
-/// The on-disk format version this build writes.  The parser also reads
-/// every older version: v1 lacks the pool-metadata section (its pool loads
-/// with cold metadata), v2 lacks the session/pool-index sections (it loads
-/// with no stream cursor and an empty neighbour index), v3 lacks the
-/// per-link client-buffer line in the session cursor (it loads with empty
-/// buffer state — a resumed session then starts its buffers cold).
+/// The on-disk format version this build writes and the only one it reads.
+/// Older files (v1: no pool-metadata section; v2: no pool-index/session
+/// sections; v3: no client-buffer line in the session cursor) are refused
+/// as version skew and cold-start.
 inline constexpr int kCheckpointVersion = 4;
-/// Oldest format version parse_checkpoint still accepts.
-inline constexpr int kMinCheckpointVersion = 1;
 
-/// Per-column lifecycle metadata (core::PoolManager's scoring state),
-/// persisted by checkpoint format v2.  The default-constructed value is
-/// the "cold metadata" a v1 checkpoint — or a v2 checkpoint whose metadata
-/// records were semantically bad — loads with.
+/// Per-column lifecycle metadata (core::PoolManager's scoring state).  The
+/// default-constructed value is the "cold metadata" a checkpoint whose
+/// metadata records were semantically bad loads with.
 struct PoolColumnMeta {
   /// Instance fingerprint the column last served under.
   std::uint64_t fingerprint = 0;
@@ -67,7 +67,7 @@ struct PoolColumnMeta {
 };
 
 /// One entry of the multi-instance neighbour index (core::PoolManager's
-/// `instances_`), persisted by checkpoint format v3 so a restarted session
+/// `instances_`), persisted so a restarted session
 /// recovers nearest-neighbour seeding, not just one instance's pool.
 struct PoolIndexEntry {
   std::uint64_t fingerprint = 0;
@@ -91,7 +91,7 @@ struct StreamGopRecord {
   double stall_slots = 0.0;
 };
 
-/// Per-link client playout-buffer state persisted by checkpoint format v4
+/// Per-link client playout-buffer state persisted in the session cursor
 /// (mirrors stream::ClientBuffer; lives here because core cannot depend on
 /// stream).  Occupancy/stall are seconds of video; the layer counters are
 /// GOPs whose HP/LP layer was delivered in full.
@@ -122,7 +122,7 @@ struct StreamSolverCounters {
   std::int64_t pool_neighbour_seeded = 0;
 };
 
-/// The stream-session cursor persisted by checkpoint format v3: everything
+/// The stream-session cursor persisted in the session section: everything
 /// `stream::run_blockage_session` needs to continue mid-session after a
 /// crash.  Demands and blockage states are regenerated deterministically
 /// from the session seed; the cursor pins where in those streams the
@@ -150,10 +150,9 @@ struct StreamCursor {
   /// resume replays the Markov chain and must land on exactly these bits,
   /// otherwise the cursor is stale and gets rejected.
   std::vector<int> blocked;
-  /// Client playout-buffer state at the cursor position (format v4).
-  /// Either one entry per link or empty — empty means "no buffer state"
-  /// (a v3-era file, or a producer without the buffer model): the resumed
-  /// session starts its buffers cold.
+  /// Client playout-buffer state at the cursor position.  Either one entry
+  /// per link or empty — empty means "no buffer state" (a producer without
+  /// the buffer model): the resumed session starts its buffers cold.
   std::vector<StreamBufferState> buffers;
   StreamSolverCounters counters;
   /// Scoring records of the completed periods, in order (size next_gop).
@@ -181,27 +180,25 @@ struct CgCheckpoint {
   std::vector<sched::Schedule> pool;
   /// Incumbent durations tau^s aligned with `pool` (0 outside the plan).
   std::vector<double> pool_tau;
-  /// Lifecycle metadata aligned with `pool` (format v2).  Empty = cold
-  /// metadata: a v1 checkpoint, or a v2 file whose metadata records were
-  /// semantically out of range (see pool_meta_degraded).
+  /// Lifecycle metadata aligned with `pool`.  Empty = cold metadata: the
+  /// section was empty, or its records were semantically out of range (see
+  /// pool_meta_degraded).
   std::vector<PoolColumnMeta> pool_meta;
-  /// True when a v2 checkpoint carried a pool-metadata section that had to
-  /// be discarded (out-of-range record, or the injected
+  /// True when the pool-metadata section had to be discarded (out-of-range record, or the injected
   /// faults::kCheckpointBadPoolRecord): the columns are still warm capital,
   /// only their scores restarted cold.
   bool pool_meta_degraded = false;
 
-  // ---- Format v3 fields (defaults = what a v1/v2 file loads with) --------
   /// Compaction counter of the delta log this base belongs to; delta blocks
   /// bind to it so a stale .delta chain can never replay onto a newer base.
   std::int64_t base_seq = 0;
   /// PoolManager store() epoch at save time, restored on import so recency
   /// scoring continues instead of restarting at zero.
   std::int64_t pool_epoch = 0;
-  /// The multi-instance neighbour index (v3).  Empty for v1/v2 files and
-  /// when a v3 index section was semantically damaged (pool_index_degraded).
+  /// The multi-instance neighbour index.  Empty when the section was empty
+  /// or semantically damaged (pool_index_degraded).
   std::vector<PoolIndexEntry> pool_index;
-  /// True when a v3 pool-index section had to be discarded (out-of-range
+  /// True when the pool-index section had to be discarded (out-of-range
   /// record, or the injected faults::kCheckpointBadIndexRecord): the pool
   /// is intact, only the neighbour index restarts empty.
   bool pool_index_degraded = false;
@@ -209,14 +206,27 @@ struct CgCheckpoint {
   bool has_session = false;
   /// The stream-session cursor (meaningful only when has_session).
   StreamCursor session;
-  /// True when a v3 session section had to be discarded (out-of-range
+  /// True when the session section had to be discarded (out-of-range
   /// cursor, or the injected faults::kSessionCursorCorrupt): the solver
   /// pool is intact, only the stream session restarts cold.
   bool session_degraded = false;
 };
 
-/// 64-bit FNV-1a over a byte string (the checkpoint payload checksum).
+/// 64-bit FNV-1a over a byte string (the checkpoint payload checksum and
+/// the fleet queue-manifest seal).  The offset basis is 1469598103934665603,
+/// not the textbook 14695981039346656037: files written by earlier builds
+/// carry checksums under this basis, so it is part of the format.
 std::uint64_t fnv1a64(std::string_view bytes);
+
+/// "0x" + 16 lowercase hex digits: how checkpoints, delta blocks and the
+/// fleet queue manifest print 64-bit values.
+std::string hex64(std::uint64_t value);
+
+/// Durable whole-file write: `bytes` go to `path + ".tmp"` (fwrite, fflush,
+/// fclose), which is then renamed over `path`.  kIoError on any failure,
+/// after which the temp file is removed and `path` is untouched.
+[[nodiscard]] common::Status write_file_atomic(const std::string& path,
+                                               std::string_view bytes);
 
 /// Order-sensitive fingerprint of a problem instance: network dimensions
 /// and parameters, the rate ladder, every direct/cross gain, per-link noise
@@ -224,6 +234,15 @@ std::uint64_t fnv1a64(std::string_view bytes);
 /// bit in those inputs fingerprint differently (up to hash collision).
 std::uint64_t instance_fingerprint(
     const net::Network& net, const std::vector<video::LinkDemand>& demands);
+
+/// Scores a finished solve's pool for lifecycle management: reduced cost of
+/// every pool column under the result's final duals, basis membership from
+/// pool_tau, recency = `epoch`.  make_checkpoint records it at epoch 0
+/// ("age unknown"); core::PoolManager::store() at its live epoch.
+std::vector<PoolColumnMeta> score_pool(const net::Network& net,
+                                       const CgResult& result,
+                                       std::uint64_t fingerprint,
+                                       std::int64_t epoch);
 
 /// Snapshot of a finished (or degraded) solve, ready to save.
 CgCheckpoint make_checkpoint(const net::Network& net,
@@ -241,7 +260,7 @@ std::string serialize_checkpoint(const CgCheckpoint& checkpoint);
 [[nodiscard]] common::Expected<CgCheckpoint> parse_checkpoint(
     std::string_view text);
 
-/// Atomic write: serialize to `path + ".tmp"`, fsync-free fwrite + rename.
+/// Serializes and writes through write_file_atomic (fsync-free).
 /// Returns kIoError on any filesystem failure (the fault site
 /// faults::kCheckpointWriteFail scripts one); a failed save never leaves a
 /// half-written file at `path`.

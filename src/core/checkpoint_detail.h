@@ -35,6 +35,14 @@ inline constexpr int kMaxIndexEntries = 100'000;
 inline constexpr int kMaxFeatures = 65'536;
 inline constexpr int kMaxGops = 1'000'000;
 
+/// Reads all of `path` into *out (the one whole-file read behind
+/// load_checkpoint and the delta-log loader).  kIoError when the file
+/// cannot be opened or read; *missing (when given) is set when it does not
+/// exist at all.
+[[nodiscard]] common::Status read_file(const std::string& path,
+                                       std::string* out,
+                                       bool* missing = nullptr);
+
 [[nodiscard]] inline common::Status parse_error(int line,
                                                 const std::string& what) {
   return common::Status::Error(
@@ -103,13 +111,6 @@ inline bool parse_hex64_token(std::string_view token, std::uint64_t* out) {
   }
   *out = v;
   return true;
-}
-
-inline void append_hex64(std::string& out, std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(v));
-  out += buf;
 }
 
 /// Line cursor over the payload; tracks 1-based line numbers for errors.
@@ -293,11 +294,11 @@ inline void append_column(std::string& out, const sched::Schedule& col,
   return values;
 }
 
-/// Emits one pool-metadata record (the v2 section's and the delta log's
+/// Emits one pool-metadata record (the base format's and the delta log's
 /// shared `meta = <fingerprint> <epoch> <rc> <basis>` line).
 inline void append_meta_record(std::string& out, const PoolColumnMeta& m) {
   out += "meta = ";
-  append_hex64(out, m.fingerprint);
+  out += hex64(m.fingerprint);
   out += ' ' + std::to_string(m.last_used_epoch) + ' ';
   append_double(out,
                 std::isfinite(m.last_reduced_cost) ? m.last_reduced_cost : 0.0);
@@ -338,11 +339,11 @@ inline void append_meta_record(std::string& out, const PoolColumnMeta& m) {
   return common::Status::Ok();
 }
 
-/// Emits one neighbour-index record (the v3 section's and the delta log's
+/// Emits one neighbour-index record (the base format's and the delta log's
 /// shared `inst = ...` line).
 inline void append_index_entry(std::string& out, const PoolIndexEntry& e) {
   out += "inst = ";
-  append_hex64(out, e.fingerprint);
+  out += hex64(e.fingerprint);
   out += ' ' + std::to_string(e.links) + ' ' + std::to_string(e.channels) +
          ' ' + std::to_string(e.last_epoch) + ' ' +
          std::to_string(e.features.size());
@@ -402,14 +403,14 @@ inline void append_index_entry(std::string& out, const PoolIndexEntry& e) {
 inline void append_cursor_block(std::string& out, const StreamCursor& s) {
   out += "cursor = " + std::to_string(s.next_gop) + ' ' +
          std::to_string(s.num_gops) + ' ';
-  append_hex64(out, s.session_fingerprint);
+  out += hex64(s.session_fingerprint);
   out += ' ';
   append_double(out, s.carryover_stall);
   out += ' ';
   append_double(out, s.blocked_fraction_sum);
   out += ' ' + std::to_string(s.invalidated_periods) + ' ' +
          std::to_string(s.exec_transmissions_dropped) + ' ';
-  append_hex64(out, s.plan_digest);
+  out += hex64(s.plan_digest);
   out += "\ndelivered = " + std::to_string(s.delivered_bits.size());
   for (double v : s.delivered_bits) {
     out += ' ';
@@ -442,18 +443,15 @@ inline void append_cursor_block(std::string& out, const StreamCursor& s) {
   out += '\n';
 }
 
-/// Parses the cursor/delivered/blocked[/buffers]/context lines.  Structural
+/// Parses the cursor/delivered/blocked/buffers/context lines.  Structural
 /// damage is a hard error; value-level damage (negative delivered bits,
 /// blocked bits outside {0,1}, NaN/negative buffer occupancies, the
 /// playing-without-started flags encoding, counter identities broken)
 /// clears *semantic_ok.  Gop and link-count cross-checks are the caller's,
 /// since only it knows the instance dimensions and the gop framing.
-/// `with_buffers` selects the v4 layout (base format: version >= 4; the
-/// delta log, which is never cross-version, always writes it).
 [[nodiscard]] inline common::Status parse_cursor_block(LineReader& reader,
                                                        StreamCursor* s,
-                                                       bool* semantic_ok,
-                                                       bool with_buffers) {
+                                                       bool* semantic_ok) {
   {
     const int line_no = reader.line();
     auto tokens = expect_kv(reader, "cursor");
@@ -525,7 +523,7 @@ inline void append_cursor_block(std::string& out, const StreamCursor& s) {
     }
   }
   s->buffers.clear();
-  if (with_buffers) {
+  {
     const int line_no = reader.line();
     auto tokens = expect_kv(reader, "buffers");
     if (!tokens.ok()) return tokens.status();

@@ -1,8 +1,6 @@
 #include "core/checkpoint_log.h"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -17,49 +15,13 @@ namespace {
 
 using detail::LineReader;
 using detail::append_double;
-using detail::append_hex64;
 using detail::expect_int;
 using detail::expect_kv;
 using detail::parse_double_token;
 using detail::parse_error;
 using detail::parse_hex64_token;
 using detail::parse_int_token;
-
-[[nodiscard]] bool read_file(const std::string& path, std::string* out,
-                             bool* missing) {
-  *missing = false;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    *missing = errno == ENOENT;
-    return false;
-  }
-  out->clear();
-  char buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out->append(buf, n);
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  return !read_error;
-}
-
-[[nodiscard]] bool write_file_atomic(const std::string& path,
-                                     std::string_view text) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return false;
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  const bool closed = std::fclose(f) == 0;
-  if (written != text.size() || !flushed || !closed) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
-}
+using detail::read_file;
 
 /// Appends `bytes` to `path`, creating it if missing.  Returns false on any
 /// short write — after which the file may hold a torn tail, which the
@@ -229,7 +191,7 @@ using detail::parse_int_token;
     }
   }
 
-  // ---- small v3 sections: always rewritten whole -------------------------
+  // ---- pool epoch + index: small, always rewritten whole ----------------
   {
     auto v = expect_int(reader, "pool_epoch", 0,
                         9'223'372'036'854'775'806LL);
@@ -275,10 +237,8 @@ using detail::parse_int_token;
       StreamCursor s;
       bool semantic_ok = true;
       {
-        // The delta log is single-producer, never cross-version: buffer
-        // state is always framed.
-        const common::Status st = detail::parse_cursor_block(
-            reader, &s, &semantic_ok, /*with_buffers=*/true);
+        const common::Status st =
+            detail::parse_cursor_block(reader, &s, &semantic_ok);
         if (!st.ok()) return st;
       }
       long long gop_base = 0;
@@ -359,7 +319,7 @@ CheckpointLogLoad load_checkpoint_log(const std::string& path) {
   {
     std::string base_text;
     bool missing = false;
-    if (!read_file(path, &base_text, &missing)) {
+    if (!read_file(path, &base_text, &missing).ok()) {
       if (!missing) out.base_damaged = true;
     } else {
       // Route through load_checkpoint for its fault hook + strict parse.
@@ -379,7 +339,7 @@ CheckpointLogLoad load_checkpoint_log(const std::string& path) {
   // ---- delta chain --------------------------------------------------------
   std::string chain;
   bool chain_missing = false;
-  if (!read_file(delta_path, &chain, &chain_missing)) {
+  if (!read_file(delta_path, &chain, &chain_missing).ok()) {
     if (!chain_missing) {
       out.tail_dropped = true;  // unreadable chain: keep base only
     }
@@ -458,22 +418,6 @@ CheckpointLogLoad load_checkpoint_log(const std::string& path) {
 CheckpointLog::CheckpointLog(std::string path, CheckpointLogOptions options)
     : path_(std::move(path)), options_(options) {}
 
-namespace {
-/// Size of `path` in bytes, 0 when missing/unreadable (adaptive-budget
-/// bookkeeping only; load correctness never depends on it).
-std::int64_t file_bytes(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return 0;
-  std::int64_t size = 0;
-  if (std::fseek(f, 0, SEEK_END) == 0) {
-    const long end = std::ftell(f);
-    if (end > 0) size = static_cast<std::int64_t>(end);
-  }
-  (void)std::fclose(f);
-  return size;
-}
-}  // namespace
-
 CheckpointLogLoad CheckpointLog::open() {
   CheckpointLogLoad r = load_checkpoint_log(path_);
   if (r.loaded) {
@@ -482,17 +426,11 @@ CheckpointLogLoad CheckpointLog::open() {
     base_seq_ = r.state.base_seq;
     next_delta_seq_ = r.deltas_applied + 1;
     deltas_since_compact_ = r.deltas_applied;
-    // load_checkpoint_log already truncated the chain to its valid prefix,
-    // so the on-disk sizes ARE the live base/chain the budgets track.
-    base_bytes_ = file_bytes(path_);
-    chain_bytes_ = file_bytes(delta_path());
   } else {
     have_shadow_ = false;
     base_seq_ = 0;
     next_delta_seq_ = 1;
     deltas_since_compact_ = 0;
-    base_bytes_ = 0;
-    chain_bytes_ = 0;
   }
   dirty_tail_ = false;
   return r;
@@ -507,42 +445,20 @@ CheckpointLogLoad CheckpointLog::open() {
         static_cast<std::int64_t>(serialize_checkpoint(equiv).size());
   }
 
-  // Stride gate (fixed policy only): the adaptive policy budgets on the
-  // block actually produced, so it defers the decision until after
-  // build_delta_payload below.
-  const bool stride_ok =
-      options_.adaptive || (options_.compact_every > 0 &&
-                            deltas_since_compact_ < options_.compact_every);
+  const bool stride_ok = options_.compact_every > 0 &&
+                         deltas_since_compact_ < options_.compact_every;
   std::string payload;
-  bool can_delta = have_shadow_ && !dirty_tail_ && stride_ok &&
-                   build_delta_payload(ckpt, &payload);
-  std::string block;
-  if (can_delta) {
-    block = "delta = " + std::to_string(base_seq_) + ' ' +
-            std::to_string(next_delta_seq_) + ' ' +
-            std::to_string(payload.size()) + ' ';
-    append_hex64(block, fnv1a64(payload));
-    block += '\n';
-    block += payload;
-    if (options_.adaptive) {
-      // Budget the chain this block would leave behind: bytes against a
-      // fraction of the base it extends, blocks against the replay cost a
-      // recovery would pay.  Either budget exceeded -> fold into a new base.
-      const std::int64_t projected_bytes =
-          chain_bytes_ + static_cast<std::int64_t>(block.size());
-      const bool bytes_over =
-          static_cast<double>(projected_bytes) >
-          options_.max_chain_fraction * static_cast<double>(base_bytes_);
-      const bool blocks_over = options_.max_replay_blocks > 0 &&
-                               deltas_since_compact_ + 1 >
-                                   options_.max_replay_blocks;
-      if (bytes_over || blocks_over) can_delta = false;
-    }
-  }
-  if (!can_delta) {
+  if (!have_shadow_ || dirty_tail_ || !stride_ok ||
+      !build_delta_payload(ckpt, &payload)) {
     // stats_.saves already counted; compact() accounts the full write.
     return compact(ckpt);
   }
+  std::string block = "delta = " + std::to_string(base_seq_) + ' ' +
+                      std::to_string(next_delta_seq_) + ' ' +
+                      std::to_string(payload.size()) + ' ';
+  block += hex64(fnv1a64(payload));
+  block += '\n';
+  block += payload;
 
   if (common::fault_fires(common::faults::kCheckpointDeltaTornWrite)) {
     // Crash window: half the block lands, then the write dies.  The chain
@@ -567,7 +483,6 @@ CheckpointLogLoad CheckpointLog::open() {
   ++deltas_since_compact_;
   ++stats_.delta_saves;
   stats_.delta_bytes += static_cast<std::int64_t>(block.size());
-  chain_bytes_ += static_cast<std::int64_t>(block.size());
   return common::Status::Ok();
 }
 
@@ -598,11 +513,8 @@ CheckpointLogLoad CheckpointLog::open() {
   next_delta_seq_ = 1;
   deltas_since_compact_ = 0;
   dirty_tail_ = false;
-  const std::int64_t written =
+  stats_.full_bytes +=
       static_cast<std::int64_t>(serialize_checkpoint(copy).size());
-  base_bytes_ = written;
-  chain_bytes_ = 0;
-  stats_.full_bytes += written;
   ++stats_.full_saves;
   ++stats_.compactions;
   shadow_ = std::move(copy);
@@ -662,7 +574,7 @@ bool CheckpointLog::build_delta_payload(const CgCheckpoint& ckpt,
   std::string& out = *payload;
   out.clear();
   out += "head = ";
-  append_hex64(out, ckpt.fingerprint);
+  out += hex64(ckpt.fingerprint);
   out += ' ' + std::to_string(ckpt.links) + ' ' +
          std::to_string(ckpt.channels) + ' ' +
          std::to_string(ckpt.iterations) + ' ';
@@ -712,7 +624,7 @@ bool CheckpointLog::build_delta_payload(const CgCheckpoint& ckpt,
     // Post-drop the survivors occupy the first |matches| slots in shadow
     // order, which equals their position in the new pool.
     scores += "score = " + std::to_string(m.new_index) + ' ';
-    append_hex64(scores, nm.fingerprint);
+    scores += hex64(nm.fingerprint);
     scores += ' ' + std::to_string(nm.last_used_epoch) + ' ';
     append_double(scores, nm.last_reduced_cost);
     scores += ' ';

@@ -1,5 +1,5 @@
 // Delta-encoded checkpoint persistence: a base snapshot plus an append-only
-// chain of delta blocks, with periodic compaction.
+// chain of delta blocks, compacted every `compact_every` delta saves.
 //
 // save_checkpoint rewrites the whole solver state on every call — O(pool)
 // bytes per period even when one streaming period changed two columns and
@@ -7,8 +7,9 @@
 // columns): the base file at `path` holds a full checkpoint (the ordinary
 // core/checkpoint.h format, loadable by anything that reads checkpoints),
 // and `path + ".delta"` holds checksummed blocks that record column
-// adds/drops/score changes, the refreshed duals/header, the small v3
-// sections, and the newly appended gop records.
+// adds/drops/score changes, the refreshed duals/header, the pool-index and
+// session sections, and the newly appended gop records.  Deltas carry no
+// version of their own: they always extend a base of the current format.
 //
 // Contracts (enforced by tests/core/checkpoint_log_test.cpp, the fuzz
 // corpus, and tools/chaos_soak):
@@ -40,24 +41,10 @@ struct CheckpointLogOptions {
   /// Delta saves between forced compactions.  0 compacts on every save
   /// (delta encoding disabled); the default keeps chains short enough that
   /// recovery replays are cheap while steady-state saves stay O(changes).
-  /// Ignored when `adaptive` is set.
   int compact_every = 8;
   /// Also account the bytes a full rewrite WOULD have written on each save
   /// (stats().full_equiv_bytes) — the chaos-soak bench's savings baseline.
   bool track_full_equiv = false;
-  /// Adaptive compaction policy: instead of the fixed compact_every stride,
-  /// compact when appending the next delta would push the chain past EITHER
-  /// budget below.  Sizes the chain to the state it shadows — small states
-  /// compact often (deltas are a large fraction of a small base), big pools
-  /// amortize across long chains — while still bounding how many blocks a
-  /// crash recovery has to replay.
-  bool adaptive = false;
-  /// Chain-size budget: compact when chain bytes would exceed this fraction
-  /// of the current base snapshot's bytes.
-  double max_chain_fraction = 0.5;
-  /// Replay-cost budget: compact when the chain would exceed this many
-  /// blocks (a recovery replays every block; 0 = no block budget).
-  int max_replay_blocks = 64;
 };
 
 struct CheckpointLogStats {
@@ -137,10 +124,6 @@ class CheckpointLog {
   std::int64_t base_seq_ = 0;
   std::int64_t next_delta_seq_ = 1;
   int deltas_since_compact_ = 0;
-  /// Current base / live chain sizes, maintained across save()/compact()
-  /// and rebuilt by open(): what the adaptive policy budgets against.
-  std::int64_t base_bytes_ = 0;
-  std::int64_t chain_bytes_ = 0;
   CheckpointLogStats stats_;
 };
 

@@ -12,25 +12,6 @@
 
 namespace mmwave::core {
 
-const char* to_string(PoolPolicy policy) {
-  switch (policy) {
-    case PoolPolicy::kLru:
-      return "lru";
-    case PoolPolicy::kRcHybrid:
-      return "rc-hybrid";
-  }
-  return "?";
-}
-
-[[nodiscard]] common::Expected<PoolPolicy> parse_pool_policy(
-    std::string_view text) {
-  if (text == "lru") return PoolPolicy::kLru;
-  if (text == "rc-hybrid") return PoolPolicy::kRcHybrid;
-  return common::Status::Error(
-      common::ErrorCode::kInvalidInput,
-      "pool policy: expected lru|rc-hybrid, got '" + std::string(text) + "'");
-}
-
 InstanceSignature make_signature(
     const net::Network& net, const std::vector<video::LinkDemand>& demands) {
   InstanceSignature sig;
@@ -72,89 +53,70 @@ double signature_distance(const InstanceSignature& a,
                             : sum / static_cast<double>(a.features.size());
 }
 
-std::vector<PoolColumnMeta> score_pool(const net::Network& net,
-                                       const CgResult& result,
-                                       std::uint64_t fingerprint,
-                                       std::int64_t epoch) {
-  std::vector<PoolColumnMeta> meta(result.pool.size());
-  for (std::size_t s = 0; s < result.pool.size(); ++s) {
-    PoolColumnMeta& m = meta[s];
-    m.fingerprint = fingerprint;
-    m.last_used_epoch = epoch;
-    m.in_basis =
-        s < result.pool_tau.size() && result.pool_tau[s] > 0.0;
-    double priced = 0.0;
-    const auto hp =
-        result.pool[s].rate_column_bits_per_slot(net, net::Layer::Hp);
-    const auto lp =
-        result.pool[s].rate_column_bits_per_slot(net, net::Layer::Lp);
-    for (int l = 0; l < net.num_links(); ++l) {
-      priced += (l < static_cast<int>(result.duals_hp.size())
-                     ? result.duals_hp[l] * hp[l]
-                     : 0.0) +
-                (l < static_cast<int>(result.duals_lp.size())
-                     ? result.duals_lp[l] * lp[l]
-                     : 0.0);
-    }
-    m.last_reduced_cost = std::isfinite(priced) ? 1.0 - priced : 0.0;
-  }
-  return meta;
-}
-
 PoolManager::PoolManager(PoolManagerOptions options)
-    : options_(std::move(options)) {
-  if (options_.adaptive) {
-    options_.min_cap = std::max(1, options_.min_cap);
-    if (options_.max_cap > 0)
-      options_.max_cap = std::max(options_.max_cap, options_.min_cap);
-    adaptive_cap_ = options_.cap > 0 ? options_.cap : options_.min_cap;
-    adaptive_cap_ = std::max(adaptive_cap_, options_.min_cap);
-    if (options_.max_cap > 0)
-      adaptive_cap_ = std::min(adaptive_cap_, options_.max_cap);
-  }
-}
+    : options_(std::move(options)) {}
 
-void PoolManager::observe(double warm_hit_rate, double master_seconds) {
-  if (!options_.adaptive) return;
-  if (!std::isfinite(warm_hit_rate) || !std::isfinite(master_seconds)) return;
-  // Multiplicative-ish steps (a quarter of the current cap) so the cap
-  // converges in a handful of periods from any starting point, while a
-  // single noisy observation can never move it far.
-  const int step = std::max(1, adaptive_cap_ / 4);
-  int next = adaptive_cap_;
-  const bool over_budget = master_seconds > options_.master_seconds_budget;
-  if (warm_hit_rate < options_.shrink_hit_rate || over_budget) {
-    next -= step;
-  } else if (warm_hit_rate >= options_.grow_hit_rate && !over_budget) {
-    next += step;
-  }
-  next = std::max(next, options_.min_cap);
-  if (options_.max_cap > 0) next = std::min(next, options_.max_cap);
-  if (next == adaptive_cap_) return;
-  if (next > adaptive_cap_) {
-    ++metrics_.cap_grown;
-  } else {
-    ++metrics_.cap_shrunk;
-  }
-  adaptive_cap_ = next;
-  // A shrink takes effect now, not at the next store().
-  metrics_.evicted += evict(entries_, epoch_);
-}
+namespace {
 
-double PoolManager::penalty(const PoolColumnMeta& meta,
-                            std::int64_t now) const {
+/// Eviction penalty (higher = evicted sooner) for `meta` at epoch `now`:
+/// recency plus the last observed reduced cost, which is >= 0 at an
+/// optimum and squashed into [0, 1) so a badly-priced column costs at most
+/// kRcWeight epochs of seniority.
+double penalty(const PoolColumnMeta& meta, std::int64_t now) {
   const double age =
       static_cast<double>(std::max<std::int64_t>(0, now - meta.last_used_epoch));
-  if (options_.policy == PoolPolicy::kLru) return age;
-  // rc-hybrid: reduced cost >= 0 at an optimum; squash it into [0, 1) so a
-  // badly-priced column costs at most `rc_weight` epochs of seniority.
   const double rc = std::max(0.0, meta.last_reduced_cost);
-  return age + options_.rc_weight * (rc / (1.0 + rc));
+  return age + kRcWeight * (rc / (1.0 + rc));
 }
+
+/// The checkpoint's pool as manager entries.  Without aligned metadata (a
+/// degraded pool_meta section) each column gets cold scores: identity from
+/// the checkpoint header, basis from tau, age/rc unknown.
+std::vector<PoolManager::Entry> checkpoint_entries(const CgCheckpoint& c) {
+  const bool have_meta = c.pool_meta.size() == c.pool.size();
+  std::vector<PoolManager::Entry> entries(c.pool.size());
+  for (std::size_t s = 0; s < c.pool.size(); ++s) {
+    PoolManager::Entry& e = entries[s];
+    e.column = c.pool[s];
+    e.tau = s < c.pool_tau.size() ? c.pool_tau[s] : 0.0;
+    if (have_meta) {
+      e.meta = c.pool_meta[s];
+    } else {
+      e.meta.fingerprint = c.fingerprint;
+      e.meta.in_basis = e.tau > 0.0;
+    }
+  }
+  return entries;
+}
+
+/// Replaces the checkpoint's pool/pool_tau/pool_meta with `entries`.
+void write_entries(const std::vector<PoolManager::Entry>& entries,
+                   CgCheckpoint* c) {
+  c->pool.clear();
+  c->pool_tau.clear();
+  c->pool_meta.clear();
+  c->pool.reserve(entries.size());
+  for (const PoolManager::Entry& e : entries) {
+    c->pool.push_back(e.column);
+    c->pool_tau.push_back(e.tau);
+    c->pool_meta.push_back(e.meta);
+  }
+}
+
+/// Fingerprints that still own at least one column of `entries`.
+std::unordered_set<std::uint64_t> live_fingerprints(
+    const std::vector<PoolManager::Entry>& entries) {
+  std::unordered_set<std::uint64_t> live;
+  live.reserve(entries.size());
+  for (const PoolManager::Entry& e : entries) live.insert(e.meta.fingerprint);
+  return live;
+}
+
+}  // namespace
 
 std::int64_t PoolManager::evict(std::vector<Entry>& entries,
                                 std::int64_t now) const {
-  const int cap = effective_cap();
+  const int cap = options_.cap;
   if (cap <= 0) return 0;
   std::int64_t evicted = 0;
   while (static_cast<int>(entries.size()) > cap) {
@@ -215,8 +177,7 @@ std::vector<sched::Schedule> PoolManager::seed(
     return a.index < b.index;
   });
   const int neighbours =
-      std::min<int>(std::max(1, options_.max_neighbours),
-                    static_cast<int>(ranked.size()));
+      std::min<int>(kMaxNeighbours, static_cast<int>(ranked.size()));
 
   std::vector<sched::Schedule> out;
   std::unordered_set<std::string> seen;
@@ -283,13 +244,12 @@ void PoolManager::store(const InstanceSignature& signature,
   }
   if (!known) instances_.push_back({signature, epoch_});
 
-  metrics_.evicted += evict(entries_, epoch_);
+  evict_and_prune();
+}
 
-  // Drop index entries for instances whose columns were all evicted (the
-  // signature alone is no seed capital and would distort neighbour ranks).
-  std::unordered_set<std::uint64_t> live;
-  live.reserve(entries_.size());
-  for (const Entry& e : entries_) live.insert(e.meta.fingerprint);
+void PoolManager::evict_and_prune() {
+  metrics_.evicted += evict(entries_, epoch_);
+  const std::unordered_set<std::uint64_t> live = live_fingerprints(entries_);
   instances_.erase(
       std::remove_if(instances_.begin(), instances_.end(),
                      [&](const KnownInstance& inst) {
@@ -299,26 +259,11 @@ void PoolManager::store(const InstanceSignature& signature,
 }
 
 void PoolManager::import_checkpoint(const CgCheckpoint& checkpoint) {
-  const bool have_meta =
-      checkpoint.pool_meta.size() == checkpoint.pool.size();
   std::unordered_map<std::string, int> by_key;
   by_key.reserve(entries_.size());
   for (int i = 0; i < static_cast<int>(entries_.size()); ++i)
     by_key.emplace(entries_[i].column.key(), i);
-  for (std::size_t s = 0; s < checkpoint.pool.size(); ++s) {
-    Entry e;
-    e.column = checkpoint.pool[s];
-    e.tau = s < checkpoint.pool_tau.size() ? checkpoint.pool_tau[s] : 0.0;
-    if (have_meta) {
-      e.meta = checkpoint.pool_meta[s];
-    } else {
-      // Cold metadata (v1 checkpoint or degraded v2): identity from the
-      // checkpoint header, basis from tau, age/rc unknown.
-      e.meta.fingerprint = checkpoint.fingerprint;
-      e.meta.last_used_epoch = 0;
-      e.meta.last_reduced_cost = 0.0;
-      e.meta.in_basis = e.tau > 0.0;
-    }
+  for (Entry& e : checkpoint_entries(checkpoint)) {
     const auto it = by_key.find(e.column.key());
     if (it != by_key.end()) {
       entries_[it->second] = std::move(e);
@@ -327,7 +272,7 @@ void PoolManager::import_checkpoint(const CgCheckpoint& checkpoint) {
       entries_.push_back(std::move(e));
     }
   }
-  // v3 cross-instance state: advance the epoch clock so restored recency
+  // Cross-instance state: advance the epoch clock so restored recency
   // values stay meaningful, then merge the persisted neighbour index (by
   // fingerprint: refresh known instances, append unknown ones in saved
   // order so seeding stays deterministic).
@@ -363,22 +308,14 @@ void PoolManager::import_checkpoint(const CgCheckpoint& checkpoint) {
     sig.channels = checkpoint.channels;
     instances_.push_back({std::move(sig), epoch_});
   }
-  metrics_.evicted += evict(entries_, epoch_);
+  evict_and_prune();
 }
 
 CgCheckpoint PoolManager::export_checkpoint(const CgCheckpoint& base) const {
   CgCheckpoint out = base;
-  out.pool.clear();
-  out.pool_tau.clear();
-  out.pool_meta.clear();
+  write_entries(entries_, &out);
   out.pool_meta_degraded = false;
-  out.pool.reserve(entries_.size());
-  for (const Entry& e : entries_) {
-    out.pool.push_back(e.column);
-    out.pool_tau.push_back(e.tau);
-    out.pool_meta.push_back(e.meta);
-  }
-  // Format v3: persist the manager's cross-instance state so a restarted
+  // Persist the manager's cross-instance state so a restarted
   // process recovers neighbour seeding and recency scoring, not just one
   // instance's columns.
   out.pool_epoch = epoch_;
@@ -398,37 +335,21 @@ CgCheckpoint PoolManager::export_checkpoint(const CgCheckpoint& base) const {
 }
 
 void PoolManager::trim_checkpoint(CgCheckpoint* checkpoint) const {
-  if (effective_cap() <= 0) return;
-  std::vector<Entry> entries;
-  entries.reserve(checkpoint->pool.size());
-  const bool have_meta =
-      checkpoint->pool_meta.size() == checkpoint->pool.size();
-  for (std::size_t s = 0; s < checkpoint->pool.size(); ++s) {
-    Entry e;
-    e.column = checkpoint->pool[s];
-    e.tau = s < checkpoint->pool_tau.size() ? checkpoint->pool_tau[s] : 0.0;
-    if (have_meta) {
-      e.meta = checkpoint->pool_meta[s];
-    } else {
-      e.meta.fingerprint = checkpoint->fingerprint;
-      e.meta.in_basis = e.tau > 0.0;
-    }
-    entries.push_back(std::move(e));
-  }
+  if (options_.cap <= 0) return;
+  std::vector<Entry> entries = checkpoint_entries(*checkpoint);
   const std::int64_t evicted = evict(entries, epoch_);
   if (evicted > 0) {
     MMWAVE_LOG_INFO << "pool: checkpoint trimmed by " << evicted
-                    << " column(s) to cap " << effective_cap() << " ("
-                    << to_string(options_.policy) << ")";
+                    << " column(s) to cap " << options_.cap;
   }
-  checkpoint->pool.clear();
-  checkpoint->pool_tau.clear();
-  checkpoint->pool_meta.clear();
-  for (const Entry& e : entries) {
-    checkpoint->pool.push_back(e.column);
-    checkpoint->pool_tau.push_back(e.tau);
-    checkpoint->pool_meta.push_back(e.meta);
-  }
+  write_entries(entries, checkpoint);
+  const std::unordered_set<std::uint64_t> live = live_fingerprints(entries);
+  std::vector<PoolIndexEntry>& index = checkpoint->pool_index;
+  index.erase(std::remove_if(index.begin(), index.end(),
+                             [&](const PoolIndexEntry& e) {
+                               return live.count(e.fingerprint) == 0;
+                             }),
+              index.end());
 }
 
 }  // namespace mmwave::core

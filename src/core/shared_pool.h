@@ -7,7 +7,7 @@
 // intact in the only form a concurrent caller can rely on:
 //
 //   * Each individual operation is atomic: seed() never observes a store()
-//     half applied, eviction scans never race a cap change.
+//     half applied, eviction scans never race a concurrent store().
 //   * For any fixed serialization order of operations the pool contents,
 //     eviction victims and metrics are bit-identical to an unsynchronized
 //     PoolManager fed the same sequence — the lock adds no decision points.
@@ -48,13 +48,6 @@ class SharedPoolManager {
     manager_.store(signature, net, result);
   }
 
-  /// Feeds one solve's warm-hit rate / master seconds to the adaptive-cap
-  /// controller (PoolManager::observe under lock).
-  void observe(double warm_hit_rate, double master_seconds) {
-    std::lock_guard<std::mutex> lock(mu_);
-    manager_.observe(warm_hit_rate, master_seconds);
-  }
-
   void import_checkpoint(const CgCheckpoint& checkpoint) {
     std::lock_guard<std::mutex> lock(mu_);
     manager_.import_checkpoint(checkpoint);
@@ -79,18 +72,13 @@ class SharedPoolManager {
     std::lock_guard<std::mutex> lock(mu_);
     return manager_.size();
   }
-  int effective_cap() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return manager_.effective_cap();
-  }
   PoolManagerOptions options() const {
     std::lock_guard<std::mutex> lock(mu_);
     return manager_.options();
   }
   /// Starts a fresh accounting window; the pool itself stays warm.  Resets
-  /// EVERY counter, the adaptive-cap ones (cap_grown/cap_shrunk) included —
-  /// the window identities (pool_hits + pool_misses == resolves and friends)
-  /// only hold when all counters reset together.
+  /// EVERY counter — the window identities (pool_hits + pool_misses ==
+  /// resolves and friends) only hold when all counters reset together.
   void reset_metrics() {
     std::lock_guard<std::mutex> lock(mu_);
     manager_.reset_metrics();

@@ -2,16 +2,13 @@
 
 #include <atomic>
 #include <chrono>
-#include <cinttypes>
 #include <condition_variable>
-#include <cstdio>
 #include <deque>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <set>
-#include <sstream>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -55,21 +52,6 @@ net::NetworkParams params_of(const FleetRequest& req) {
   return params;
 }
 
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t hash = 1469598103934665603ULL;
-  for (char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
-std::string hex64(std::uint64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, value);
-  return buf;
-}
-
 // ---------------------------------------------------------------------------
 // Queue manifest: the drain-time record of which requests finished and which
 // were parked, written atomically next to the shared-pool log.
@@ -77,7 +59,7 @@ std::string hex64(std::uint64_t value) {
 //   mmwave-fleet-queue v1
 //   done <id>
 //   pending <raw request line>
-//   end fnv=0x<fnv1a of the body lines>
+//   end fnv=0x<core::fnv1a64 of the body lines>
 // ---------------------------------------------------------------------------
 
 struct QueueManifest {
@@ -99,8 +81,8 @@ QueueManifest load_queue_manifest(const std::string& path) {
   std::vector<std::string> pending;
   bool saw_end = false;
   while (std::getline(in, line)) {
-    if (line.rfind("end fnv=0x", 0) == 0) {
-      if (line.substr(10) != hex64(fnv1a(body))) return manifest;
+    if (line.rfind("end fnv=", 0) == 0) {
+      if (line.substr(8) != core::hex64(core::fnv1a64(body))) return manifest;
       saw_end = true;
       break;
     }
@@ -127,28 +109,9 @@ QueueManifest load_queue_manifest(const std::string& path) {
     return Status::Error(ErrorCode::kIoError,
                          "injected fault: fleet.drain_crash");
   }
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::Error(ErrorCode::kIoError,
-                         "queue manifest: cannot open " + tmp);
-  }
-  const std::string full =
-      "mmwave-fleet-queue v1\n" + body + "end fnv=0x" + hex64(fnv1a(body)) +
-      "\n";
-  const std::size_t written = std::fwrite(full.data(), 1, full.size(), f);
-  const bool closed = std::fclose(f) == 0;
-  if (written != full.size() || !closed) {
-    std::remove(tmp.c_str());
-    return Status::Error(ErrorCode::kIoError,
-                         "queue manifest: short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Error(ErrorCode::kIoError,
-                         "queue manifest: rename to " + path + " failed");
-  }
-  return Status::Ok();
+  return core::write_file_atomic(
+      path, "mmwave-fleet-queue v1\n" + body + "end fnv=" +
+                core::hex64(core::fnv1a64(body)) + "\n");
 }
 
 [[nodiscard]] Status write_manifest_with_retry(const std::string& path,
@@ -242,8 +205,8 @@ void fill_from_cg(const core::CgResult& result, RequestRecord* rec) {
   }
 }
 
-/// Seeds from the shared pool (feasibility-repaired), solves, stores the
-/// result back and feeds the adaptive-cap controller.  The warm-equivalence
+/// Seeds from the shared pool (feasibility-repaired), solves and stores the
+/// result back.  The warm-equivalence
 /// invariant keeps the certified optimum independent of pool content.
 void solve_with_shared_pool(const ServerOptions& options,
                             core::SharedPoolManager* pool, RunState* rs,
@@ -263,11 +226,7 @@ void solve_with_shared_pool(const ServerOptions& options,
       core::solve_column_generation(net, demands, opts);
   fill_from_cg(result, rec);
   if (result.stop_reason == core::CgStopReason::kInvalidInput) return;
-  if (options.share_pool) {
-    pool->store(sig, net, result);
-    pool->observe(result.profile.warm_hit_rate(),
-                  result.profile.master_seconds);
-  }
+  if (options.share_pool) pool->store(sig, net, result);
   if (rs != nullptr) {
     std::lock_guard<std::mutex> lock(rs->mu);
     if (!rs->has_base) {
@@ -366,7 +325,7 @@ void run_stream_request(const ServerOptions& options, const FleetRequest& req,
   rec->total_slots = metrics.base.total_stall_slots;
   rec->iterations = req.gops;
   rec->converged = metrics.base.all_served;
-  rec->message = "digest=0x" + hex64(metrics.plan_digest_chain);
+  rec->message = "digest=" + core::hex64(metrics.plan_digest_chain);
   if (metrics.resume_rejected) rec->message += " resume_rejected";
   rec->outcome = RequestOutcome::kOk;
   rec->code = ErrorCode::kOk;

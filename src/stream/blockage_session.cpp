@@ -279,7 +279,7 @@ BlockageSessionMetrics run_blockage_session(
         resume->carryover_stall >= 0.0 &&
         resume->blocked_fraction_sum >= 0.0 &&
         !common::fault_fires(common::faults::kSessionCursorCorrupt);
-    // Buffer state (v4) is optional — an empty vector starts the buffers
+    // Buffer state is optional — an empty vector starts the buffers
     // cold — but when present it must be per-link and self-consistent;
     // damaged QoE counters must never be replayed as truth.
     if (usable && !resume->buffers.empty()) {

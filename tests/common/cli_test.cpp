@@ -76,5 +76,14 @@ TEST(Cli, NegativeNumbersAsValues) {
   EXPECT_EQ(f.get_int("delta", 0), -4);
 }
 
+TEST(Cli, UnknownFlagNamesTheFirstFlagOutsideTheKnownSet) {
+  auto f = parse({"solve", "--links=4", "--pool-polcy=x", "--deadine=abc"});
+  EXPECT_EQ(f.unknown_flag({"links", "pool-polcy", "deadine"}), std::nullopt);
+  EXPECT_EQ(f.unknown_flag({"links", "deadline"}), "deadine");
+  EXPECT_EQ(f.unknown_flag({"links", "deadine"}), "pool-polcy");
+  // Positionals are not flags.
+  EXPECT_EQ(parse({"solve"}).unknown_flag({}), std::nullopt);
+}
+
 }  // namespace
 }  // namespace mmwave::common

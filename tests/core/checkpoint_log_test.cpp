@@ -550,94 +550,12 @@ TEST(CheckpointLog, OpenResumesTheChainWhereItLeftOff) {
   remove_log(path);
 }
 
-// Adaptive compaction property: whatever the budget knobs, every save must
-// still leave on-disk state that replays byte-identically to a full rewrite
-// of the latest checkpoint.  The policy may only move WHEN compactions
-// happen, never what a recovery reads.
-TEST(CheckpointLog, AdaptiveReplayIsByteIdenticalAfterEverySave) {
-  const std::string path = temp_path("log_adaptive_replay.txt");
-  remove_log(path);
-  CheckpointLog log(path, {.adaptive = true,
-                           .max_chain_fraction = 0.25,
-                           .max_replay_blocks = 4});
-  (void)log.open();
-
-  CgCheckpoint ckpt = solved_checkpoint();
-  ASSERT_TRUE(log.save(ckpt).ok());
-  // advance() walks the session cursor one GOP per step; 8 steps stay
-  // inside its 10-GOP session.
-  for (int step = 0; step < 8; ++step) {
-    ckpt = advance(ckpt, step);
-    ASSERT_TRUE(log.save(ckpt).ok());
-    const CheckpointLogLoad loaded = load_checkpoint_log(path);
-    ASSERT_TRUE(loaded.loaded);
-    EXPECT_FALSE(loaded.tail_dropped);
-    EXPECT_EQ(serialize_checkpoint(loaded.state),
-              serialize_at_seq(ckpt, log.base_seq()));
-  }
-  EXPECT_EQ(log.stats().saves, 9);
-  remove_log(path);
-}
-
-TEST(CheckpointLog, AdaptiveBlockBudgetBoundsRecoveryReplay) {
-  const std::string path = temp_path("log_adaptive_blocks.txt");
-  remove_log(path);
-  // A chain-fraction budget too large to ever bind isolates the block
-  // budget: recovery must never replay more than max_replay_blocks deltas.
-  CheckpointLog log(path, {.adaptive = true,
-                           .max_chain_fraction = 1e9,
-                           .max_replay_blocks = 3});
-  (void)log.open();
-
-  CgCheckpoint ckpt = solved_checkpoint();
-  ASSERT_TRUE(log.save(ckpt).ok());
-  for (int step = 0; step < 8; ++step) {
-    ckpt = advance(ckpt, step);
-    ASSERT_TRUE(log.save(ckpt).ok());
-    const CheckpointLogLoad loaded = load_checkpoint_log(path);
-    ASSERT_TRUE(loaded.loaded);
-    EXPECT_LE(loaded.deltas_applied, 3);
-  }
-  EXPECT_GT(log.stats().compactions, 1);
-  EXPECT_GT(log.stats().delta_saves, 0);
-  remove_log(path);
-}
-
-TEST(CheckpointLog, AdaptiveChainFractionForcesEagerCompaction) {
-  const std::string path = temp_path("log_adaptive_fraction.txt");
-  remove_log(path);
-  // A tiny chain-bytes budget (any delta exceeds 1% of the base) turns
-  // every save into a compaction: small states should not carry chains
-  // that rival their base snapshot.
-  CheckpointLog log(path, {.adaptive = true,
-                           .max_chain_fraction = 0.01,
-                           .max_replay_blocks = 0});
-  (void)log.open();
-
-  CgCheckpoint ckpt = solved_checkpoint();
-  ASSERT_TRUE(log.save(ckpt).ok());
-  for (int step = 0; step < 4; ++step) {
-    ckpt = advance(ckpt, step);
-    ASSERT_TRUE(log.save(ckpt).ok());
-  }
-  EXPECT_EQ(log.stats().delta_saves, 0);
-  EXPECT_EQ(log.stats().compactions, log.stats().saves);
-  const CheckpointLogLoad loaded = load_checkpoint_log(path);
-  ASSERT_TRUE(loaded.loaded);
-  EXPECT_EQ(loaded.deltas_applied, 0);
-  EXPECT_EQ(serialize_checkpoint(loaded.state),
-            serialize_at_seq(ckpt, log.base_seq()));
-  remove_log(path);
-}
-
-TEST(CheckpointLog, AdaptiveSurvivesReopenWithRebuiltSizes) {
-  const std::string path = temp_path("log_adaptive_reopen.txt");
+TEST(CheckpointLog, CompactEveryStrideSurvivesReopen) {
+  const std::string path = temp_path("log_stride_reopen.txt");
   remove_log(path);
   CgCheckpoint ckpt = solved_checkpoint();
   {
-    CheckpointLog log(path, {.adaptive = true,
-                             .max_chain_fraction = 1e9,
-                             .max_replay_blocks = 3});
+    CheckpointLog log(path, {.compact_every = 3});
     (void)log.open();
     ASSERT_TRUE(log.save(ckpt).ok());
     ckpt = advance(ckpt, 0);
@@ -645,12 +563,10 @@ TEST(CheckpointLog, AdaptiveSurvivesReopenWithRebuiltSizes) {
     ckpt = advance(ckpt, 1);
     ASSERT_TRUE(log.save(ckpt).ok());
   }
-  // A recovering process rebuilds base/chain sizes from the files, so the
-  // block budget keeps binding across restarts (2 on-disk deltas + 1 more
-  // hits the budget: the save after that must compact).
-  CheckpointLog log(path, {.adaptive = true,
-                           .max_chain_fraction = 1e9,
-                           .max_replay_blocks = 3});
+  // A recovering process counts the deltas it replayed against the stride,
+  // so a restart cannot stretch the chain: 2 on-disk deltas + 1 more hits
+  // compact_every, and the save after that must compact.
+  CheckpointLog log(path, {.compact_every = 3});
   const CheckpointLogLoad opened = log.open();
   ASSERT_TRUE(opened.loaded);
   EXPECT_EQ(opened.deltas_applied, 2);
@@ -662,7 +578,7 @@ TEST(CheckpointLog, AdaptiveSurvivesReopenWithRebuiltSizes) {
   EXPECT_EQ(log.stats().compactions, 1);
   const CheckpointLogLoad loaded = load_checkpoint_log(path);
   ASSERT_TRUE(loaded.loaded);
-  EXPECT_LE(loaded.deltas_applied, 3);
+  EXPECT_EQ(loaded.deltas_applied, 0);
   EXPECT_EQ(serialize_checkpoint(loaded.state),
             serialize_at_seq(ckpt, log.base_seq()));
   remove_log(path);

@@ -178,7 +178,7 @@ TEST(CgCheckpoint, EveryByteFlipIsCaught) {
 TEST(CgCheckpoint, VersionSkewIsDiagnosed) {
   const Solved s = solve_and_checkpoint();
   std::string text = serialize_checkpoint(s.ckpt);
-  // One past the newest version this build writes (v2): must be refused.
+  // One past the version this build writes: must be refused.
   const std::string tag = "checkpoint v" + std::to_string(kCheckpointVersion);
   text.replace(text.find(tag), tag.size(),
                "checkpoint v" + std::to_string(kCheckpointVersion + 1));
@@ -208,12 +208,12 @@ TEST(CgCheckpoint, LoadOfMissingFileIsIoError) {
   EXPECT_EQ(loaded.status().code(), common::ErrorCode::kIoError);
 }
 
-// ---- Format v2: pool-metadata section and v1 backward compatibility ------
+// ---- Pool-metadata section --------------------------------------------
 
 /// Reassembles a checkpoint after editing its payload: fresh checksum over
 /// the mutated payload, requested version in the magic line.  This is how
-/// the tests fabricate v1 files and semantically-damaged v2 files that are
-/// still structurally (checksum-)valid.
+/// the tests fabricate older-version files and semantically-damaged files
+/// that are still structurally (checksum-)valid.
 std::string reassemble(const std::string& text, int version,
                        const std::function<void(std::string&)>& mutate) {
   const std::size_t first_nl = text.find('\n');
@@ -227,8 +227,8 @@ std::string reassemble(const std::string& text, int version,
          "\nchecksum = " + checksum + "\n" + payload;
 }
 
-/// Drops the v2 pool_meta section ("pool_meta = N" and its records),
-/// leaving exactly the v1 payload layout.
+/// Drops everything from the pool_meta section to the terminator, leaving
+/// exactly the v1 payload layout.
 void strip_pool_meta(std::string& payload) {
   const std::size_t start = payload.find("pool_meta = ");
   ASSERT_NE(start, std::string::npos);
@@ -257,29 +257,6 @@ TEST(CgCheckpoint, PoolMetadataRoundTrips) {
   // Basis membership in the metadata agrees with the tau vector.
   for (std::size_t i = 0; i < c.pool_meta.size(); ++i)
     EXPECT_EQ(c.pool_meta[i].in_basis, c.pool_tau[i] > 0.0);
-}
-
-TEST(CgCheckpoint, V1CheckpointLoadsWithColdMetadata) {
-  const Solved s = solve_and_checkpoint();
-  const std::string v1 = reassemble(serialize_checkpoint(s.ckpt),
-                                    /*version=*/1, strip_pool_meta);
-  const auto parsed = parse_checkpoint(v1);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-  const CgCheckpoint& c = parsed.value();
-  // The warm-start capital is fully preserved; only the lifecycle scores
-  // are absent (cold metadata) — and that is not a degradation.
-  EXPECT_FALSE(c.pool_meta_degraded);
-  EXPECT_TRUE(c.pool_meta.empty());
-  ASSERT_EQ(c.pool.size(), s.ckpt.pool.size());
-  for (std::size_t i = 0; i < c.pool.size(); ++i)
-    EXPECT_EQ(c.pool[i].key(), s.ckpt.pool[i].key());
-  EXPECT_EQ(c.pool_tau, s.ckpt.pool_tau);
-  // A v1 checkpoint resolves just as a v2 one does.
-  const ResolveResult r = resolve(s.net, s.demands, c, CgOptions{});
-  EXPECT_TRUE(r.used_checkpoint);
-  EXPECT_TRUE(r.cg.converged);
-  EXPECT_NEAR(r.cg.total_slots, s.result.total_slots,
-              1e-7 * s.result.total_slots);
 }
 
 TEST(CgCheckpoint, SemanticallyBadMetaRecordDegradesToColdMetadata) {
@@ -409,7 +386,7 @@ TEST(CgCheckpoint, InjectedPayloadCorruptionDegradesToColdStart) {
   std::remove(path.c_str());
 }
 
-// ---- Format v3: pool index + stream-session cursor -----------------------
+// ---- Pool index + stream-session cursor ----------------------------------
 
 StreamCursor make_cursor(int links, int next_gop, int num_gops) {
   StreamCursor c;
@@ -448,7 +425,7 @@ StreamCursor make_cursor(int links, int next_gop, int num_gops) {
   return c;
 }
 
-/// A solved checkpoint with every v3 field populated.
+/// A solved checkpoint with the index and session sections populated.
 Solved solve_with_v3_state() {
   Solved s = solve_and_checkpoint();
   s.ckpt.base_seq = 4;
@@ -470,8 +447,9 @@ Solved solve_with_v3_state() {
   return s;
 }
 
-/// Turns a v3 payload into a v2 one: drop everything from the delta-binding
-/// line through the session section (the byte range v2 never wrote).
+/// Turns a payload into the v2 layout: drop everything from the
+/// delta-binding line through the session section (the range v2 never
+/// wrote).
 void strip_v3_sections(std::string& payload) {
   const std::size_t start = payload.find("base_seq = ");
   ASSERT_NE(start, std::string::npos);
@@ -524,35 +502,63 @@ TEST(CgCheckpoint, V3FileSurvivesSaveAndLoad) {
   std::remove(path.c_str());
 }
 
-TEST(CgCheckpoint, V2FileLoadsWithColdV3Defaults) {
-  const Solved s = solve_with_v3_state();
-  const std::string v2 = reassemble(serialize_checkpoint(s.ckpt),
-                                    /*version=*/2, strip_v3_sections);
-  const auto parsed = parse_checkpoint(v2);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-  const CgCheckpoint& c = parsed.value();
-  // Pre-v3 files carry no cursor and no index — and that is not damage.
-  EXPECT_EQ(c.base_seq, 0);
-  EXPECT_EQ(c.pool_epoch, 0);
-  EXPECT_TRUE(c.pool_index.empty());
-  EXPECT_FALSE(c.pool_index_degraded);
-  EXPECT_FALSE(c.has_session);
-  EXPECT_FALSE(c.session_degraded);
-  // The v2 payload itself is fully honoured.
-  ASSERT_EQ(c.pool.size(), s.ckpt.pool.size());
-  EXPECT_EQ(c.pool_tau, s.ckpt.pool_tau);
-  EXPECT_FALSE(c.pool_meta.empty());
-  const ResolveResult r = resolve(s.net, s.demands, c, CgOptions{});
-  EXPECT_TRUE(r.used_checkpoint);
+/// Turns a payload into the v3 layout: drop the session cursor's client
+/// buffer line (the one line v3 never wrote).
+void strip_buffers_line(std::string& payload) {
+  const std::size_t start = payload.find("buffers = ");
+  ASSERT_NE(start, std::string::npos);
+  payload.erase(start, payload.find('\n', start) + 1 - start);
+}
+
+/// Only kCheckpointVersion is read.  A genuine older layout with a valid
+/// checksum is refused as version skew, and a resolve from such a file
+/// cold-starts to the optimum.
+void expect_refused_and_cold_start(const Solved& s, int version,
+                                   const std::string& text) {
+  const auto parsed = parse_checkpoint(text);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), common::ErrorCode::kInvalidInput);
+  EXPECT_NE(
+      parsed.status().message().find("version v" + std::to_string(version)),
+      std::string::npos)
+      << parsed.status().message();
+
+  const std::string path = temp_path("ckpt_older_version.txt");
+  ASSERT_TRUE(write_file_atomic(path, text).ok());
+  const ResolveResult r =
+      resolve_from_file(path, s.net, s.demands, CgOptions{});
+  EXPECT_FALSE(r.used_checkpoint);
   EXPECT_TRUE(r.cg.converged);
   EXPECT_NEAR(r.cg.total_slots, s.result.total_slots,
               1e-7 * s.result.total_slots);
+  std::remove(path.c_str());
+}
+
+/// v1: no pool-metadata section.
+TEST(CgCheckpoint, V1CheckpointIsRefusedAndColdStarts) {
+  const Solved s = solve_with_v3_state();
+  expect_refused_and_cold_start(
+      s, 1, reassemble(serialize_checkpoint(s.ckpt), 1, strip_pool_meta));
+}
+
+/// v2: no index or session sections.
+TEST(CgCheckpoint, V2FileIsRefusedAndColdStarts) {
+  const Solved s = solve_with_v3_state();
+  expect_refused_and_cold_start(
+      s, 2, reassemble(serialize_checkpoint(s.ckpt), 2, strip_v3_sections));
+}
+
+/// v3: no client buffer line in the session cursor.
+TEST(CgCheckpoint, V3FileWithoutBuffersIsRefusedAndColdStarts) {
+  const Solved s = solve_with_v3_state();
+  expect_refused_and_cold_start(
+      s, 3, reassemble(serialize_checkpoint(s.ckpt), 3, strip_buffers_line));
 }
 
 TEST(CgCheckpoint, V3SectionsInAV2FileAreRejected) {
   const Solved s = solve_with_v3_state();
-  // Same bytes, version stamp lowered: the v3 sections become trailing
-  // garbage, which the strict parser must refuse.
+  // Same bytes, version stamp lowered to one that never carried these
+  // sections: the strict parser must refuse it.
   const std::string bad = reassemble(serialize_checkpoint(s.ckpt),
                                      /*version=*/2, [](std::string&) {});
   const auto parsed = parse_checkpoint(bad);

@@ -1,10 +1,10 @@
 // PoolManager invariants (the tentpole properties of the column-pool
 // lifecycle layer):
-//   * eviction never removes a current-basis column — under any cap, any
-//     policy, and the pool.evict_wrong_column fault;
+//   * eviction never removes a current-basis column — under any cap and
+//     the pool.evict_wrong_column fault;
 //   * a capped pool costs speed, never correctness: seeding a perturbed
 //     resolve from the manager matches a cold certified solve to 1e-7 for
-//     caps {4, 16, unbounded} x policies {lru, rc-hybrid};
+//     caps {4, 16, unbounded};
 //   * eviction order is a pure function of the operation sequence —
 //     deterministic for a fixed seed and independent of the thread count
 //     the solve inputs were computed under.
@@ -95,20 +95,6 @@ std::vector<std::string> entry_keys(const PoolManager& manager) {
   return keys;
 }
 
-TEST(PoolPolicy, ParseAcceptsTheCliSpellings) {
-  ASSERT_TRUE(parse_pool_policy("lru").ok());
-  EXPECT_EQ(parse_pool_policy("lru").value(), PoolPolicy::kLru);
-  ASSERT_TRUE(parse_pool_policy("rc-hybrid").ok());
-  EXPECT_EQ(parse_pool_policy("rc-hybrid").value(), PoolPolicy::kRcHybrid);
-  for (const char* bad : {"", "LRU", "mru", "rc", "rc_hybrid"}) {
-    const auto parsed = parse_pool_policy(bad);
-    EXPECT_FALSE(parsed.ok()) << bad;
-    EXPECT_EQ(parsed.status().code(), common::ErrorCode::kInvalidInput);
-  }
-  EXPECT_STREQ(to_string(PoolPolicy::kLru), "lru");
-  EXPECT_STREQ(to_string(PoolPolicy::kRcHybrid), "rc-hybrid");
-}
-
 TEST(InstanceSignature, DistanceTracksPerturbationSize) {
   const Scenario sc = Scenario::make(11, 5, 2, 3);
   const InstanceSignature self = make_signature(sc.net, sc.demands);
@@ -132,39 +118,32 @@ TEST(InstanceSignature, DistanceTracksPerturbationSize) {
 
 TEST(PoolManager, EvictionNeverRemovesABasisColumn) {
   const Scenario sc = Scenario::make(13, 6, 2, 3);
-  for (const PoolPolicy policy : {PoolPolicy::kLru, PoolPolicy::kRcHybrid}) {
-    for (const int cap : {1, 2, 4}) {
-      PoolManagerOptions opts;
-      opts.cap = cap;
-      opts.policy = policy;
-      PoolManager manager(opts);
+  for (const int cap : {1, 2, 4}) {
+    PoolManager manager({.cap = cap});
 
-      // A run of perturbed periods so the pool overflows any small cap.
-      std::set<std::string> basis;
-      for (int period = 0; period < 4; ++period) {
-        std::vector<double> scales(6, 1.0);
-        if (period > 0) scales[period] = 0.3;
-        const net::Network net = sc.scaled(scales);
-        const auto demands = random_demands(6, 700 + period);
-        const CgResult result =
-            solve_column_generation(net, demands, exact_options());
-        ASSERT_TRUE(result.converged);
-        manager.store(make_signature(net, demands), net, result);
-        basis = basis_keys(result);
-      }
-
-      // Every column of the LATEST basis must have survived eviction, even
-      // when the cap is smaller than the basis itself.
-      const std::vector<std::string> kept = entry_keys(manager);
-      for (const std::string& key : basis) {
-        EXPECT_NE(std::find(kept.begin(), kept.end(), key), kept.end())
-            << "cap " << cap << " policy " << to_string(policy)
-            << " evicted a basis column";
-      }
-      EXPECT_GT(manager.metrics().evicted, 0);
-      EXPECT_LE(manager.size(),
-                std::max(cap, static_cast<int>(basis.size())));
+    // A run of perturbed periods so the pool overflows any small cap.
+    std::set<std::string> basis;
+    for (int period = 0; period < 4; ++period) {
+      std::vector<double> scales(6, 1.0);
+      if (period > 0) scales[period] = 0.3;
+      const net::Network net = sc.scaled(scales);
+      const auto demands = random_demands(6, 700 + period);
+      const CgResult result =
+          solve_column_generation(net, demands, exact_options());
+      ASSERT_TRUE(result.converged);
+      manager.store(make_signature(net, demands), net, result);
+      basis = basis_keys(result);
     }
+
+    // Every column of the LATEST basis must have survived eviction, even
+    // when the cap is smaller than the basis itself.
+    const std::vector<std::string> kept = entry_keys(manager);
+    for (const std::string& key : basis) {
+      EXPECT_NE(std::find(kept.begin(), kept.end(), key), kept.end())
+          << "cap " << cap << " evicted a basis column";
+    }
+    EXPECT_GT(manager.metrics().evicted, 0);
+    EXPECT_LE(manager.size(), std::max(cap, static_cast<int>(basis.size())));
   }
 }
 
@@ -218,35 +197,28 @@ TEST(PoolManager, CappedSeedingMatchesColdSolve) {
       solve_column_generation(perturbed, next_demands, exact_options());
   ASSERT_TRUE(cold.converged);
 
-  for (const PoolPolicy policy : {PoolPolicy::kLru, PoolPolicy::kRcHybrid}) {
-    for (const int cap : {4, 16, 0 /* unbounded */}) {
-      PoolManagerOptions opts;
-      opts.cap = cap;
-      opts.policy = policy;
-      PoolManager manager(opts);
-      manager.store(make_signature(sc.net, sc.demands), sc.net, first);
+  for (const int cap : {4, 16, 0 /* unbounded */}) {
+    PoolManager manager({.cap = cap});
+    manager.store(make_signature(sc.net, sc.demands), sc.net, first);
 
-      const std::vector<sched::Schedule> candidates =
-          manager.seed(make_signature(perturbed, next_demands));
-      CgOptions warm_opts = exact_options();
-      warm_opts.verify = true;
-      RepairStats stats;
-      warm_opts.warm_pool = repair_pool(perturbed, candidates, &stats);
-      const CgResult warm =
-          solve_column_generation(perturbed, next_demands, warm_opts);
-      ASSERT_TRUE(warm.converged)
-          << "cap " << cap << " policy " << to_string(policy);
-      EXPECT_NEAR(warm.total_slots, cold.total_slots,
-                  kRelTol * cold.total_slots)
-          << "cap " << cap << " policy " << to_string(policy);
-      EXPECT_TRUE(warm.verification.ok());
-      if (cap > 0) {
-        // Best-effort cap: the current basis is never evicted, so the pool
-        // can exceed a cap smaller than the basis — never by more.
-        const int basis_size = static_cast<int>(basis_keys(first).size());
-        EXPECT_LE(static_cast<int>(candidates.size()),
-                  std::max(cap, basis_size));
-      }
+    const std::vector<sched::Schedule> candidates =
+        manager.seed(make_signature(perturbed, next_demands));
+    CgOptions warm_opts = exact_options();
+    warm_opts.verify = true;
+    RepairStats stats;
+    warm_opts.warm_pool = repair_pool(perturbed, candidates, &stats);
+    const CgResult warm =
+        solve_column_generation(perturbed, next_demands, warm_opts);
+    ASSERT_TRUE(warm.converged) << "cap " << cap;
+    EXPECT_NEAR(warm.total_slots, cold.total_slots, kRelTol * cold.total_slots)
+        << "cap " << cap;
+    EXPECT_TRUE(warm.verification.ok());
+    if (cap > 0) {
+      // Best-effort cap: the current basis is never evicted, so the pool
+      // can exceed a cap smaller than the basis — never by more.
+      const int basis_size = static_cast<int>(basis_keys(first).size());
+      EXPECT_LE(static_cast<int>(candidates.size()),
+                std::max(cap, basis_size));
     }
   }
 }
@@ -300,9 +272,7 @@ TEST(PoolManager, SeedPrefersTheNearestNeighbourInstance) {
   const net::Network mild_net = sc.scaled(mild);
   const net::Network heavy_net = sc.scaled(heavy);
 
-  PoolManagerOptions opts;
-  opts.max_neighbours = 1;  // only the single nearest instance may seed
-  PoolManager manager(opts);
+  PoolManager manager;
   const CgResult r_mild =
       solve_column_generation(mild_net, sc.demands, exact_options());
   const CgResult r_heavy =
@@ -313,13 +283,18 @@ TEST(PoolManager, SeedPrefersTheNearestNeighbourInstance) {
   manager.store(make_signature(mild_net, sc.demands), mild_net, r_mild);
 
   // Query the clear-air instance (known to neither): the mild perturbation
-  // is nearer, so with max_neighbours=1 every seeded column must be its.
+  // is nearer, so every mild column is seeded before any heavy-only one,
+  // although the heavy instance was stored first.
   const std::vector<sched::Schedule> seeded =
       manager.seed(make_signature(sc.net, sc.demands));
-  ASSERT_FALSE(seeded.empty());
   std::set<std::string> mild_keys;
   for (const auto& c : r_mild.pool) mild_keys.insert(c.key());
-  for (const auto& c : seeded) EXPECT_TRUE(mild_keys.count(c.key()));
+  ASSERT_EQ(seeded.size(), static_cast<std::size_t>(manager.size()));
+  ASSERT_GT(seeded.size(), mild_keys.size());  // heavy-only columns follow
+  for (std::size_t i = 0; i < seeded.size(); ++i) {
+    EXPECT_EQ(mild_keys.count(seeded[i].key()) == 1, i < mild_keys.size())
+        << "seeded column " << i << " out of nearest-neighbour order";
+  }
   // All seeded columns came from a non-exact fingerprint: neighbour capital.
   EXPECT_EQ(manager.metrics().neighbour_seeded,
             static_cast<std::int64_t>(seeded.size()));
@@ -394,134 +369,40 @@ TEST(PoolManager, MetricsAccumulateAndResetWithoutTouchingThePool) {
   EXPECT_EQ(manager.size(), size_before);  // resetting metrics keeps capital
 }
 
-/// Regression pin for the accounting-window contract: reset_metrics() must
-/// clear the adaptive-cap counters (cap_grown/cap_shrunk) together with the
-/// traffic counters — a window that keeps stale cap steps breaks the window
-/// identities fleet-mode reporting sums over.  (Investigated as a suspected
-/// leak when the fleet server became observe()'s first production caller;
-/// the leak does not reproduce — metrics_ = {} value-initializes every
-/// field — and this test keeps it that way.)  The cap VALUE is state, not
-/// accounting: it must survive the reset.
+/// The accounting-window contract for the counters the cap drives:
+/// reset_metrics() clears evicted and neighbour_seeded (a window that keeps
+/// stale evictions breaks the window identities fleet-mode reporting sums
+/// over), while the cap is state, not accounting: it survives the reset and
+/// still evicts on the next store.
 TEST(PoolManager, ResetMetricsClearsCapCountersButKeepsTheCap) {
   const Scenario sc = Scenario::make(22, 5, 2, 3);
+  std::vector<double> heavy(5, 1.0);
+  heavy[0] = heavy[2] = 0.01;
+  const net::Network heavy_net = sc.scaled(heavy);
   const CgResult result =
       solve_column_generation(sc.net, sc.demands, exact_options());
-  PoolManagerOptions opts;
-  opts.adaptive = true;
-  opts.cap = 8;
-  opts.min_cap = 2;
-  opts.max_cap = 64;
-  PoolManager manager(opts);
-  manager.store(make_signature(sc.net, sc.demands), sc.net, result);
-  for (int i = 0; i < 3; ++i) manager.observe(0.95, 0.0);  // grow steps
-  for (int i = 0; i < 3; ++i) manager.observe(0.0, 1.0);   // shrink steps
-  ASSERT_GT(manager.metrics().cap_grown, 0);
-  ASSERT_GT(manager.metrics().cap_shrunk, 0);
-  const int cap_before = manager.effective_cap();
+  const CgResult r_heavy =
+      solve_column_generation(heavy_net, sc.demands, exact_options());
+  PoolManager manager({.cap = 4});
+  const InstanceSignature sig = make_signature(sc.net, sc.demands);
+  const InstanceSignature heavy_sig = make_signature(heavy_net, sc.demands);
+  manager.store(heavy_sig, heavy_net, r_heavy);
+  manager.store(sig, sc.net, result);
+  (void)manager.seed(heavy_sig);
+  ASSERT_GT(manager.metrics().evicted, 0);
 
+  const int size_before = manager.size();
   manager.reset_metrics();
-  EXPECT_EQ(manager.metrics().cap_grown, 0);
-  EXPECT_EQ(manager.metrics().cap_shrunk, 0);
   EXPECT_EQ(manager.metrics().evicted, 0);
   EXPECT_EQ(manager.metrics().neighbour_seeded, 0);
-  EXPECT_EQ(manager.effective_cap(), cap_before);
+  EXPECT_EQ(manager.size(), size_before);
+  EXPECT_EQ(manager.options().cap, 4);
+
+  manager.store(heavy_sig, heavy_net, r_heavy);
+  EXPECT_GT(manager.metrics().evicted, 0);  // the kept cap still evicts
 }
 
-/// Adaptive-cap property: under ANY observe() sequence the effective cap
-/// stays inside [min_cap, max_cap], moves in the documented direction for
-/// unambiguous signals, and a shrink evicts immediately (still never below
-/// the protected basis).
-TEST(PoolManager, AdaptiveCapStaysWithinConfiguredBounds) {
-  const Scenario sc = Scenario::make(21, 5, 2, 3);
-  const CgResult result =
-      solve_column_generation(sc.net, sc.demands, exact_options());
-  ASSERT_TRUE(result.converged);
-
-  PoolManagerOptions opts;
-  opts.adaptive = true;
-  opts.cap = 12;
-  opts.min_cap = 4;
-  opts.max_cap = 32;
-  PoolManager manager(opts);
-  manager.store(make_signature(sc.net, sc.demands), sc.net, result);
-  const int basis_size = static_cast<int>(basis_keys(result).size());
-
-  common::Rng rng(0xADA9CAB);
-  for (int step = 0; step < 200; ++step) {
-    const double hit_rate = rng.uniform(0.0, 1.0);
-    const double seconds = rng.uniform(0.0, 0.2);
-    const int before = manager.effective_cap();
-    manager.observe(hit_rate, seconds);
-    const int after = manager.effective_cap();
-    ASSERT_GE(after, opts.min_cap) << "step " << step;
-    ASSERT_LE(after, opts.max_cap) << "step " << step;
-    const bool over = seconds > opts.master_seconds_budget;
-    if (hit_rate < opts.shrink_hit_rate || over) {
-      ASSERT_LE(after, before) << "step " << step;
-    } else if (hit_rate >= opts.grow_hit_rate && !over) {
-      ASSERT_GE(after, before) << "step " << step;
-    } else {
-      ASSERT_EQ(after, before) << "step " << step;  // dead band holds
-    }
-    // The cap is enforced on the live pool at observe time (basis excepted).
-    ASSERT_LE(manager.size(), std::max(after, basis_size)) << "step " << step;
-  }
-  // Degenerate feedback must not move the cap.
-  const int cap = manager.effective_cap();
-  manager.observe(std::nan(""), 0.0);
-  manager.observe(0.0, std::nan(""));
-  EXPECT_EQ(manager.effective_cap(), cap);
-
-  // A non-adaptive manager ignores observe() entirely.
-  PoolManager fixed(PoolManagerOptions{});
-  fixed.observe(0.0, 1e9);
-  EXPECT_EQ(fixed.effective_cap(), 0);
-}
-
-/// Correctness is cap-independent: a pool squeezed by adaptive shrinks must
-/// still seed a resolve that matches the cold solve of the perturbed
-/// instance — adaptation costs speed, never the optimum.
-TEST(PoolManager, AdaptiveCappedSeedingMatchesColdSolve) {
-  const Scenario sc = Scenario::make(22, 5, 2, 3);
-  const CgResult first =
-      solve_column_generation(sc.net, sc.demands, exact_options());
-  ASSERT_TRUE(first.converged);
-
-  std::vector<double> scales(5, 1.0);
-  scales[2] = 0.05;
-  const net::Network perturbed = sc.scaled(scales);
-  const auto next_demands = random_demands(5, 901);
-  const CgResult cold =
-      solve_column_generation(perturbed, next_demands, exact_options());
-  ASSERT_TRUE(cold.converged);
-
-  PoolManagerOptions opts;
-  opts.adaptive = true;
-  opts.cap = 16;
-  opts.min_cap = 2;
-  opts.max_cap = 24;
-  PoolManager manager(opts);
-  manager.store(make_signature(sc.net, sc.demands), sc.net, first);
-  // Simulate a string of cold periods: the controller squeezes the pool to
-  // its floor before the next seed.
-  for (int i = 0; i < 10; ++i) manager.observe(0.0, 1.0);
-  EXPECT_EQ(manager.effective_cap(), opts.min_cap);
-  EXPECT_GT(manager.metrics().cap_shrunk, 0);
-
-  const std::vector<sched::Schedule> candidates =
-      manager.seed(make_signature(perturbed, next_demands));
-  CgOptions warm_opts = exact_options();
-  warm_opts.verify = true;
-  RepairStats stats;
-  warm_opts.warm_pool = repair_pool(perturbed, candidates, &stats);
-  const CgResult warm =
-      solve_column_generation(perturbed, next_demands, warm_opts);
-  ASSERT_TRUE(warm.converged);
-  EXPECT_NEAR(warm.total_slots, cold.total_slots, kRelTol * cold.total_slots);
-  EXPECT_TRUE(warm.verification.ok());
-}
-
-// ---- Format v3: cross-session persistence of the multi-instance index ----
+// ---- Cross-session persistence of the multi-instance index --------------
 
 TEST(PoolManager, ExportCarriesTheInstanceIndexAndEpoch) {
   const Scenario sc = Scenario::make(30, 5, 2, 3);
@@ -566,9 +447,7 @@ TEST(PoolManager, ImportRestoresNeighbourSeedingAcrossRestart) {
   const net::Network mild_net = sc.scaled(mild);
   const net::Network heavy_net = sc.scaled(heavy);
 
-  PoolManagerOptions opts;
-  opts.max_neighbours = 1;
-  PoolManager manager(opts);
+  PoolManager manager;
   const CgResult r_mild =
       solve_column_generation(mild_net, sc.demands, exact_options());
   const CgResult r_heavy =
@@ -576,16 +455,16 @@ TEST(PoolManager, ImportRestoresNeighbourSeedingAcrossRestart) {
   manager.store(make_signature(heavy_net, sc.demands), heavy_net, r_heavy);
   manager.store(make_signature(mild_net, sc.demands), mild_net, r_mild);
 
-  // Restart: serialize through the actual v3 text format, then re-import.
+  // Restart: serialize through the actual text format, then re-import.
   const CgCheckpoint exported = manager.export_checkpoint(
       make_checkpoint(mild_net, sc.demands, r_mild));
   const auto reparsed = parse_checkpoint(serialize_checkpoint(exported));
   ASSERT_TRUE(reparsed.ok()) << reparsed.status().message();
-  PoolManager reloaded(opts);
+  PoolManager reloaded;
   reloaded.import_checkpoint(reparsed.value());
 
-  // The restarted manager makes the same nearest-neighbour call the
-  // original would: clear air seeds from the mild instance only.
+  // The restarted manager makes the same nearest-neighbour calls the
+  // original would: clear air seeds the mild instance's columns first.
   const InstanceSignature query = make_signature(sc.net, sc.demands);
   const std::vector<sched::Schedule> before = manager.seed(query);
   const std::vector<sched::Schedule> after = reloaded.seed(query);
@@ -618,6 +497,47 @@ TEST(PoolManager, ImportAdvancesTheEpochClockInsteadOfRestartingIt) {
   EXPECT_EQ(again.pool_epoch, 3);
   ASSERT_EQ(again.pool_index.size(), 1u);
   EXPECT_EQ(again.pool_index[0].last_epoch, 3);
+}
+
+/// An index entry whose instance lost every column to eviction is no seed
+/// capital, only a wasted neighbour slot in seed(): eviction on import and
+/// on trim_checkpoint must drop it, as store() always has.
+TEST(PoolManager, CappedImportAndTrimPruneIndexEntriesLeftWithoutColumns) {
+  const Scenario sc = Scenario::make(33, 5, 2, 3);
+  std::vector<double> heavy(5, 1.0);
+  heavy[0] = heavy[2] = heavy[3] = 0.01;
+  const net::Network heavy_net = sc.scaled(heavy);
+  const CgResult r_heavy =
+      solve_column_generation(heavy_net, sc.demands, exact_options());
+  const CgResult r_clear =
+      solve_column_generation(sc.net, sc.demands, exact_options());
+  ASSERT_TRUE(r_heavy.converged);
+  ASSERT_TRUE(r_clear.converged);
+
+  PoolManager unbounded;
+  unbounded.store(make_signature(heavy_net, sc.demands), heavy_net, r_heavy);
+  unbounded.store(make_signature(sc.net, sc.demands), sc.net, r_clear);
+  const CgCheckpoint saved = unbounded.export_checkpoint(
+      make_checkpoint(sc.net, sc.demands, r_clear));
+  ASSERT_EQ(saved.pool_index.size(), 2u);
+  const std::uint64_t clear_fp = make_signature(sc.net, sc.demands).fingerprint;
+
+  // Cap 1 evicts every non-basis column, so only the clear-air basis (all
+  // under the clear-air fingerprint) survives.
+  PoolManager capped({.cap = 1});
+  capped.import_checkpoint(saved);
+  ASSERT_GT(capped.metrics().evicted, 0);
+  const CgCheckpoint reexported = capped.export_checkpoint(saved);
+  for (const PoolColumnMeta& m : reexported.pool_meta)
+    ASSERT_EQ(m.fingerprint, clear_fp);
+  ASSERT_EQ(reexported.pool_index.size(), 1u);
+  EXPECT_EQ(reexported.pool_index[0].fingerprint, clear_fp);
+
+  CgCheckpoint trimmed = saved;
+  capped.trim_checkpoint(&trimmed);
+  ASSERT_LT(trimmed.pool.size(), saved.pool.size());
+  ASSERT_EQ(trimmed.pool_index.size(), 1u);
+  EXPECT_EQ(trimmed.pool_index[0].fingerprint, clear_fp);
 }
 
 }  // namespace

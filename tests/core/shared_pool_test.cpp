@@ -83,13 +83,10 @@ TEST(SharedPoolManager, SerializedSequenceMatchesBareManager) {
       EXPECT_EQ(shared_seeded.size(), bare_seeded.size());
       shared.store(inst.signature, inst.net, inst.result);
       bare.store(inst.signature, inst.net, inst.result);
-      shared.observe(0.9, 0.001);
-      bare.observe(0.9, 0.001);
     }
   }
 
   EXPECT_EQ(shared.size(), bare.size());
-  EXPECT_EQ(shared.effective_cap(), bare.effective_cap());
   EXPECT_TRUE(same_entries(shared.entries(), bare.entries()));
   const PoolManagerMetrics sm = shared.metrics();
   const PoolManagerMetrics bm = bare.metrics();
@@ -117,7 +114,7 @@ TEST(SharedPoolManager, EvictionOrderIsDeterministicUnderTheLock) {
 }
 
 // Concurrent stress: N threads hammer one shared pool with the full op mix
-// (seed / store / observe / snapshot reads).  TSan must see no race, every
+// (seed / store / snapshot reads).  TSan must see no race, every
 // op must stay atomic, and the aggregate metrics must account for every
 // call — nothing lost, nothing double-counted.
 TEST(SharedPoolManager, ConcurrentStressKeepsEveryOperationAtomic) {
@@ -142,14 +139,13 @@ TEST(SharedPoolManager, ConcurrentStressKeepsEveryOperationAtomic) {
             instances[static_cast<std::size_t>((t + r) % 4)];
         (void)shared.seed(inst.signature);
         shared.store(inst.signature, inst.net, inst.result);
-        shared.observe(0.5, 0.001);
         // Snapshot readers race the writers above; each must return a
         // stable copy, never a view into storage mid-move.
         const std::vector<PoolManager::Entry> snap = shared.entries();
         EXPECT_LE(static_cast<int>(snap.size()),
                   shared.size() + static_cast<int>(instances.size()) * 8);
         (void)shared.metrics();
-        (void)shared.effective_cap();
+        (void)shared.options();
       }
     });
   }
@@ -163,27 +159,18 @@ TEST(SharedPoolManager, ConcurrentStressKeepsEveryOperationAtomic) {
                                           instances[0].net.num_links());
 }
 
-// Accounting-window regression: reset_metrics() must clear EVERY counter,
-// the adaptive-cap ones included, while the cap value itself (and the pool)
-// survive.  Written to pin a suspected leak of cap_grown/cap_shrunk across
-// resets — the leak does not reproduce; this test keeps it that way now
-// that the fleet server calls observe() on every shared-pool solve.
-TEST(SharedPoolManager, ResetMetricsClearsAdaptiveCapCounters) {
-  PoolManagerOptions opts;
-  opts.adaptive = true;
-  opts.cap = 8;
-  opts.min_cap = 2;
-  opts.max_cap = 64;
-  SharedPoolManager shared(opts);
-  const SolvedInstance inst = solved_instance(1);
-  shared.store(inst.signature, inst.net, inst.result);
-
-  for (int i = 0; i < 3; ++i) shared.observe(0.95, 0.0);  // grow
-  for (int i = 0; i < 3; ++i) shared.observe(0.0, 1.0);   // shrink
+// Accounting-window contract: reset_metrics() must clear EVERY counter
+// under the lock, while the pool and its cap survive.
+TEST(SharedPoolManager, ResetMetricsClearsEveryCounterButKeepsThePool) {
+  SharedPoolManager shared({.cap = 4});
+  for (std::uint64_t s = 1; s <= 3; ++s) {
+    const SolvedInstance inst = solved_instance(s);
+    (void)shared.seed(inst.signature);
+    shared.store(inst.signature, inst.net, inst.result);
+  }
   const PoolManagerMetrics before = shared.metrics();
-  ASSERT_GT(before.cap_grown, 0);
-  ASSERT_GT(before.cap_shrunk, 0);
-  const int cap_before = shared.effective_cap();
+  ASSERT_GT(before.seeded_columns, 0);
+  ASSERT_GT(before.evicted, 0);
   const int size_before = shared.size();
 
   shared.reset_metrics();
@@ -193,9 +180,7 @@ TEST(SharedPoolManager, ResetMetricsClearsAdaptiveCapCounters) {
   EXPECT_EQ(after.seeded_columns, 0);
   EXPECT_EQ(after.neighbour_seeded, 0);
   EXPECT_EQ(after.evicted, 0);
-  EXPECT_EQ(after.cap_grown, 0);
-  EXPECT_EQ(after.cap_shrunk, 0);
-  EXPECT_EQ(shared.effective_cap(), cap_before);
+  EXPECT_EQ(shared.options().cap, 4);
   EXPECT_EQ(shared.size(), size_before);
 }
 

@@ -3,7 +3,7 @@
 // that survived whatever the filesystem did to them.  The contract under
 // fuzz: never crash, never throw, and either return state whose fields are
 // inside their documented ranges (sizes aligned, every transmission
-// in-bounds, v3 index/session either valid or degraded away whole) or a
+// in-bounds, index/session either valid or degraded away whole) or a
 // structured kInvalidInput error; for a delta chain, damage may only drop
 // the chain tail, never corrupt the loaded base.
 //
@@ -39,7 +39,7 @@ bool sane_state(const mmwave::core::CgCheckpoint& c) {
               c.duals_hp.size() == static_cast<std::size_t>(c.links) &&
               c.duals_lp.size() == static_cast<std::size_t>(c.links) &&
               c.pool.size() == c.pool_tau.size();
-  // v2 lifecycle metadata: either aligned with the pool or degraded away
+  // Lifecycle metadata: either aligned with the pool or degraded away
   // entirely — a partially-parsed meta section must never be returned.
   sane = sane && (c.pool_meta.empty() || c.pool_meta.size() == c.pool.size());
   if (c.pool_meta_degraded) sane = sane && c.pool_meta.empty();
@@ -55,7 +55,7 @@ bool sane_state(const mmwave::core::CgCheckpoint& c) {
   }
   for (double tau : c.pool_tau) sane = sane && tau >= 0.0;
 
-  // v3 delta binding + pool index: degraded means gone, entries in range.
+  // Delta binding + pool index: degraded means gone, entries in range.
   sane = sane && c.base_seq >= 0 && c.pool_epoch >= 0;
   if (c.pool_index_degraded) sane = sane && c.pool_index.empty();
   for (const auto& e : c.pool_index) {
@@ -63,7 +63,7 @@ bool sane_state(const mmwave::core::CgCheckpoint& c) {
     for (double f : e.features) sane = sane && std::isfinite(f);
   }
 
-  // v3 session cursor: degraded means absent; a present cursor obeys every
+  // Session cursor: degraded means absent; a present cursor obeys every
   // documented invariant (a half-valid cursor must never be returned).
   if (c.session_degraded) sane = sane && !c.has_session;
   if (c.has_session) {
@@ -87,7 +87,7 @@ bool sane_state(const mmwave::core::CgCheckpoint& c) {
              std::isfinite(s.gops[i].stall_slots) &&
              s.gops[i].stall_slots >= 0.0;
     }
-    // v4 client-buffer state: absent (legacy cursor) or one record per
+    // Client-buffer state: absent (no buffer model) or one record per
     // link; an accepted record is finite, non-negative, its flags encode a
     // representable (playing, started) pair, and its layer counters cannot
     // run ahead of the completed-period count.
@@ -357,11 +357,11 @@ int main(int argc, char** argv) {
   // checksum line pointing at a body that is not there.
   const char* builtins[] = {
       "",
-      "mmwave-cg-checkpoint v1\n",
+      "mmwave-cg-checkpoint v4\n",
       "mmwave-cg-checkpoint v999999\nchecksum = 0x0000000000000000\n",
-      "mmwave-cg-checkpoint v1\nchecksum = 0xcbf29ce484222325\n",
-      "mmwave-cg-checkpoint v1\nchecksum = 0xzzzzzzzzzzzzzzzz\nrest\n",
-      "mmwave-cg-checkpoint v1\nchecksum = 0x0000000000000000\n"
+      "mmwave-cg-checkpoint v4\nchecksum = 0xcbf29ce484222325\n",
+      "mmwave-cg-checkpoint v4\nchecksum = 0xzzzzzzzzzzzzzzzz\nrest\n",
+      "mmwave-cg-checkpoint v4\nchecksum = 0x0000000000000000\n"
       "fingerprint = 0x0000000000000000\nlinks = 4096\nchannels = 1024\n"
       "iterations = 0\nconverged = 0\ntotal_slots = 0\nlower_bound = nan\n"
       "duals_hp = 0\nduals_lp = 0\ncolumns = 999999\n",
@@ -370,7 +370,7 @@ int main(int argc, char** argv) {
     failures += replay_with_mutations(b, rng, Probe(probe));
     ++inputs;
   }
-  // The full v3 serializer output and a real delta chain, torn apart by
+  // The full serializer output and a real delta chain, torn apart by
   // the same battery.
   failures += replay_with_mutations(
       mmwave::core::serialize_checkpoint(fuzz_base_checkpoint()), rng,

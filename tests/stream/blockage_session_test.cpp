@@ -632,10 +632,10 @@ TEST(BlockageSession, CursorWithoutBufferStateResumesWithColdBuffers) {
                              make_cg_scheduler({}), crash_rng, nullptr,
                              &stop);
   ASSERT_GT(ref.stall_seconds, 0.0);
-  // A v3-era cursor carries no buffer line.  (Real v3 cursors are also
-  // fingerprint-rejected — the fingerprint gained the policy and buffer
-  // scalars — but the empty-vector degradation is defined behavior: the
-  // scheduling timeline resumes, the buffers restart cold.)
+  // A cursor from a producer without the buffer model carries an empty
+  // buffer vector (`buffers = 0` on disk).  The empty-vector degradation is
+  // defined behavior: the scheduling timeline resumes, the buffers restart
+  // cold.
   cursor.buffers.clear();
   BlockageRunControl resume;
   resume.resume = &cursor;

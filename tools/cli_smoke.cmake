@@ -115,17 +115,29 @@ run(0 "checkpoint: unusable, cold start"
           --checkpoint=${WORK_DIR}/corrupt.ckpt --resume)
 
 # --- pool lifecycle flags ---------------------------------------------------
-# --pool-cap=0 means unbounded: a plain solve must run clean; a malformed
-# policy is an exit-2 flag error like any other.
+# --pool-cap=0 means unbounded: a plain solve must run clean; a malformed cap
+# is an exit-2 flag error like any other.
 run(0 "" solve --links=4 --channels=2 --seed=3 --pool-cap=0)
-run(2 "error: --pool-policy: .*expected lru\\|rc-hybrid"
-    solve --links=4 --channels=2 --pool-policy=bogus)
 run(2 "error: .*out of range" solve --links=4 --channels=2 --pool-cap=-1)
 
-# A v1 checkpoint (no pool_meta section) must still load under the v2-aware
-# parser: columns kept, lifecycle metadata cold, exit 0.  The checksum is the
-# repo's FNV-1a over the payload, precomputed for exactly these bytes — edit
-# the payload and it becomes (correctly) a corrupt-checkpoint case.
+# --- unknown flags ------------------------------------------------------------
+# Every command refuses a flag it does not read: a misspelling must never
+# silently run on the default.  The retired eviction-policy flag (rc-hybrid
+# is the only eviction rule now) is refused the same way.
+set(RETIRED_FLAG "pool-policy")
+run(2 "error: unknown flag --deadine"
+    solve --links=4 --channels=2 --seed=3 --pool-polcy=bogus --deadine=abc)
+run(2 "error: unknown flag --${RETIRED_FLAG}"
+    solve --links=4 --channels=2 --${RETIRED_FLAG}=lru)
+run(2 "error: unknown flag --${RETIRED_FLAG}"
+    stream --links=4 --channels=2 --gops=2 --${RETIRED_FLAG}=rc-hybrid)
+run(2 "error: unknown flag --gops" compare --links=4 --channels=2 --gops=3)
+run(2 "error: unknown flag --links" serve --links=4)
+
+# Only checkpoint format v4 is read.  A v1 file (no pool_meta section, valid
+# checksum) is refused as version skew and the resolve cold-starts, exit 0.
+# The checksum is the repo's FNV-1a over the payload, precomputed for
+# exactly these bytes, so the refusal comes from the version field alone.
 file(WRITE "${WORK_DIR}/v1_compat.ckpt"
   "mmwave-cg-checkpoint v1\n"
   "checksum = 0xfc15082131e73c01\n"
@@ -140,7 +152,7 @@ file(WRITE "${WORK_DIR}/v1_compat.ckpt"
   "duals_lp = 0 0 0 0\n"
   "columns = 0\n"
   "end\n")
-run(0 "checkpoint: pool [0-9]+ loaded"
+run(0 "checkpoint: unusable, cold start \\(.*unsupported checkpoint version v1"
     resolve --checkpoint=${WORK_DIR}/v1_compat.ckpt --links=4 --channels=2
             --seed=3 --block-links=0 --block-atten=0.05)
 

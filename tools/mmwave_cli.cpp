@@ -50,8 +50,9 @@
 // Exit status (DESIGN.md section 7):
 //   0  success (solve/compare/stream completed; check passed)
 //   1  verification failure (check) or unknown command
-//   2  invalid input: malformed flag value, unreadable/invalid --instance
-//      spec, or an instance rejected by check::validate_instance
+//   2  invalid input: malformed flag value, a flag the command does not
+//      read, unreadable/invalid --instance spec, or an instance rejected by
+//      check::validate_instance
 //   3  degraded solve: the anytime contract returned an incumbent (deadline,
 //      stall, solver breakdown) instead of a certified answer
 #include <fcntl.h>
@@ -228,23 +229,13 @@ Instance build_instance(const InstanceFlags& f) {
   return {std::move(net), std::move(demands)};
 }
 
-/// --pool-cap / --pool-policy: the column-pool lifecycle knobs (core::
-/// PoolManager).  Cap 0 = unbounded (the pre-lifecycle behaviour).
+/// --pool-cap: the column-pool size cap (core::PoolManager).  Cap 0 =
+/// unbounded (the pre-lifecycle behaviour).
 [[nodiscard]] common::Expected<core::PoolManagerOptions> parse_pool_flags(
     const common::CliFlags& flags) {
-  core::PoolManagerOptions opts;
   const auto cap = flags.get_int_checked("pool-cap", 0, 0, 1 << 20);
   if (!cap.ok()) return cap.status();
-  opts.cap = static_cast<int>(cap.value());
-  const auto policy = core::parse_pool_policy(
-      flags.get_string("pool-policy", core::to_string(opts.policy)));
-  if (!policy.ok()) {
-    return common::Status::Error(
-        common::ErrorCode::kInvalidInput,
-        "--pool-policy: " + policy.status().message());
-  }
-  opts.policy = policy.value();
-  return opts;
+  return core::PoolManagerOptions{.cap = static_cast<int>(cap.value())};
 }
 
 /// --repair: how SINR-violated pooled transmissions are fixed (drop them,
@@ -696,15 +687,13 @@ int cmd_resolve(const common::CliFlags& flags) {
   const auto loaded = core::load_checkpoint(ckpt_path);
   if (loaded.ok() && pool_manager.options().cap > 0) {
     // Route the saved pool through the lifecycle manager so resolve seeds
-    // from at most --pool-cap columns (eviction under --pool-policy).
+    // from at most --pool-cap columns.
     const std::size_t saved = loaded.value().pool.size();
     pool_manager.import_checkpoint(loaded.value());
     const core::CgCheckpoint capped =
         pool_manager.export_checkpoint(loaded.value());
-    std::printf("pool: cap %d (%s): %zu of %zu saved columns retained\n",
-                pool_manager.options().cap,
-                core::to_string(pool_manager.options().policy),
-                capped.pool.size(), saved);
+    std::printf("pool: cap %d: %zu of %zu saved columns retained\n",
+                pool_manager.options().cap, capped.pool.size(), saved);
     r = core::resolve(net, demands, capped, opts, ropts);
   } else {
     // Unbounded pool, or an unusable file: resolve_from_file keeps the
@@ -964,12 +953,46 @@ int main(int argc, char** argv) {
   flags.parse(argc, argv);
   const std::string cmd =
       flags.positional().empty() ? "help" : flags.positional()[0];
-  if (cmd == "solve") return cmd_solve(flags);
-  if (cmd == "compare") return cmd_compare(flags);
-  if (cmd == "stream") return cmd_stream(flags);
-  if (cmd == "resolve") return cmd_resolve(flags);
-  if (cmd == "check") return cmd_check(flags);
-  if (cmd == "serve") return cmd_serve(flags);
+  const std::vector<std::string> instance_flags = {
+      "links", "channels", "levels", "gamma-scale", "seed",
+      "demand-scale", "pricing", "instance", "deadline"};
+  const auto with_instance = [&](std::vector<std::string> extra) {
+    extra.insert(extra.end(), instance_flags.begin(), instance_flags.end());
+    return extra;
+  };
+  // Every command with the complete list of flags it reads: anything else
+  // on its command line is a misspelling (or a retired flag) and must not
+  // silently fall back to a default.
+  const struct {
+    const char* name;
+    int (*run)(const common::CliFlags&);
+    std::vector<std::string> flags;
+  } commands[] = {
+      {"solve", cmd_solve,
+       with_instance({"csv", "profile", "warm-start", "checkpoint", "resume",
+                      "pool-cap"})},
+      {"compare", cmd_compare, instance_flags},
+      {"stream", cmd_stream,
+       with_instance({"gops", "p-block", "buffer-startup", "buffer-rebuffer",
+                      "buffer-target", "buffer-boost", "buffer-yield",
+                      "demand-policy", "checkpoint", "resume", "metrics-json",
+                      "pool-cap", "repair"})},
+      {"resolve", cmd_resolve,
+       with_instance({"checkpoint", "block-links", "block-atten", "update",
+                      "pool-cap", "repair"})},
+      {"check", cmd_check, instance_flags},
+      {"serve", cmd_serve,
+       {"requests", "out", "workers", "max-queue", "watchdog-multiple",
+        "io-retries", "state", "share-pool", "pool-cap"}},
+  };
+  for (const auto& command : commands) {
+    if (cmd != command.name) continue;
+    if (const auto unknown = flags.unknown_flag(command.flags)) {
+      std::fprintf(stderr, "error: unknown flag --%s\n", unknown->c_str());
+      return kExitInvalidInput;
+    }
+    return command.run(flags);
+  }
   std::printf(
       "usage: mmwave_cli <solve|compare|stream|resolve|check|serve>"
       " [--links=N]\n"
@@ -982,13 +1005,13 @@ int main(int argc, char** argv) {
       "  solve   also accepts --csv=plan.csv --profile --warm-start=0|1\n"
       "          --checkpoint=FILE (save solver state) --resume (warm-start\n"
       "          from that checkpoint; fingerprint must match)\n"
-      "          --pool-cap=N --pool-policy=lru|rc-hybrid (trim the saved\n"
-      "          pool to N columns; 0 = unbounded)\n"
+      "          --pool-cap=N (trim the saved pool to N columns;\n"
+      "          0 = unbounded)\n"
       "  stream  also accepts --gops=N --p-block=p --metrics-json\n"
       "          --checkpoint=FILE (persist the session as base+delta\n"
       "          checkpoints at every GOP boundary) --resume (continue a\n"
       "          checkpointed session mid-stream) --pool-cap=N\n"
-      "          --pool-policy=... --repair=drop|downgrade\n"
+      "          --repair=drop|downgrade\n"
       "          --demand-policy=blind|drain-risk (shape next-period\n"
       "          demands from client-buffer state) --buffer-startup=s\n"
       "          --buffer-rebuffer=s --buffer-target=s (playout thresholds)\n"
@@ -997,7 +1020,7 @@ int main(int argc, char** argv) {
       "          --block-links=0,3 --block-atten=a --update: repairs the\n"
       "          saved column pool against the perturbed instance and\n"
       "          re-solves warm (corrupt/mismatched checkpoint = cold start)\n"
-      "          --pool-cap=N --pool-policy=lru|rc-hybrid cap the seeded pool\n"
+      "          --pool-cap=N cap the seeded pool\n"
       "          --repair=drop|downgrade (step SINR-violated transmissions\n"
       "          down the rate ladder instead of dropping them)\n"
       "  check   runs the solve under the certificate checkers and exits\n"
@@ -1008,6 +1031,7 @@ int main(int argc, char** argv) {
       "          --io-retries=N; SIGTERM drains (queue checkpointed under\n"
       "          --state, restart resumes without losing a request)\n"
       "exit status: 0 ok | 1 check failed / unknown command |\n"
-      "             2 invalid flag value or instance | 3 degraded solve\n");
+      "             2 invalid or unknown flag, or invalid instance |\n"
+      "             3 degraded solve\n");
   return cmd == "help" ? 0 : 1;
 }

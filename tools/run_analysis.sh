@@ -312,7 +312,7 @@ if [[ "$COVERAGE_ONLY" == 1 || "$LINT_ONLY" == 1 || "$SOAK_ONLY" == 1 \
   echo "leg 7 skipped (--coverage/--lint/--soak/--fleet/--qoe)"
 elif [[ -d "$ASAN_DIR" ]]; then
   (cd "$ASAN_DIR" && ctest --output-on-failure -j "$JOBS" \
-      -R 'CgAnytime|Theorem1Guard|MilpLimits|FaultInjector|InstanceValidator|ParseInstanceSpec|CgCheckpoint|CheckpointLog|CgResolve|PoolManager|PoolPolicy|InstanceSignature|BlockageSession|cli_smoke') \
+      -R 'CgAnytime|Theorem1Guard|MilpLimits|FaultInjector|InstanceValidator|ParseInstanceSpec|CgCheckpoint|CheckpointLog|CgResolve|PoolManager|InstanceSignature|BlockageSession|cli_smoke') \
     || leg_failed "ctest (robustness suites under ASan+UBSan)"
   run_fuzz instance_spec_fuzz "$ROOT/tests/fuzz/corpus"
   run_fuzz checkpoint_fuzz "$ROOT/tests/fuzz/corpus_checkpoint"
