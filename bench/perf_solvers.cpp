@@ -103,32 +103,6 @@ BENCHMARK(BM_RevisedVsDenseWarm)
     ->Args({160, 1})
     ->ArgNames({"rows", "dense"});
 
-// Pricing-rule arm on the sparse engine: Dantzig vs steepest-edge, pivots
-// and wall clock head-to-head.
-void BM_SimplexPricing(benchmark::State& state) {
-  const int rows = static_cast<int>(state.range(0));
-  const bool steepest = state.range(1) != 0;
-  const lp::LpModel model = make_covering_lp(rows, 2 * rows, 42);
-  lp::LpOptions opt;
-  opt.pricing = steepest ? lp::PricingRule::kSteepestEdge
-                         : lp::PricingRule::kDantzig;
-  std::int64_t pivots = 0;
-  for (auto _ : state) {
-    auto sol = lp::solve_lp(model, opt);
-    benchmark::DoNotOptimize(sol.objective);
-    pivots += sol.iterations;
-  }
-  state.counters["pivots"] =
-      static_cast<double>(pivots) /
-      std::max<std::int64_t>(1, state.iterations());
-}
-BENCHMARK(BM_SimplexPricing)
-    ->Args({60, 0})
-    ->Args({60, 1})
-    ->Args({160, 0})
-    ->Args({160, 1})
-    ->ArgNames({"rows", "steepest"});
-
 void BM_MilpKnapsack(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   common::Rng rng(7);

@@ -584,20 +584,17 @@ std::string serialize_checkpoint(const CgCheckpoint& ckpt) {
   return common::Status::Ok();
 }
 
-[[nodiscard]] common::Status save_checkpoint(const CgCheckpoint& ckpt,
-                                             const std::string& path) {
+[[nodiscard]] common::Status detail::write_checkpoint_text(
+    const std::string& path, std::string_view text) {
   if (common::fault_fires(common::faults::kCheckpointWriteFail)) {
     return common::Status::Error(common::ErrorCode::kIoError,
                                  "checkpoint write failed (injected fault)");
   }
-  return write_file_atomic(path, serialize_checkpoint(ckpt));
+  return write_file_atomic(path, text);
 }
 
-[[nodiscard]] common::Expected<CgCheckpoint> load_checkpoint(
-    const std::string& path) {
-  std::string text;
-  const common::Status st = detail::read_file(path, &text);
-  if (!st.ok()) return st;
+[[nodiscard]] common::Expected<CgCheckpoint> detail::parse_checkpoint_file(
+    const std::string& path, std::string text) {
   // Scripted corruption: flip one payload byte; the checksum must catch it
   // and the caller must degrade to a cold start, never use the bad state.
   if (common::fault_fires(common::faults::kCheckpointCorrupt) &&
@@ -607,6 +604,19 @@ std::string serialize_checkpoint(const CgCheckpoint& ckpt) {
                     << "': payload byte flipped (injected fault)";
   }
   return parse_checkpoint(text);
+}
+
+[[nodiscard]] common::Status save_checkpoint(const CgCheckpoint& ckpt,
+                                             const std::string& path) {
+  return detail::write_checkpoint_text(path, serialize_checkpoint(ckpt));
+}
+
+[[nodiscard]] common::Expected<CgCheckpoint> load_checkpoint(
+    const std::string& path) {
+  std::string text;
+  const common::Status st = detail::read_file(path, &text);
+  if (!st.ok()) return st;
+  return detail::parse_checkpoint_file(path, std::move(text));
 }
 
 }  // namespace mmwave::core

@@ -43,6 +43,19 @@ inline constexpr int kMaxGops = 1'000'000;
                                        std::string* out,
                                        bool* missing = nullptr);
 
+/// Writes already-serialized checkpoint `text` to `path` atomically: the
+/// write half of save_checkpoint, shared with the delta log's compaction
+/// so it serializes once.  The fault site faults::kCheckpointWriteFail
+/// fires here.
+[[nodiscard]] common::Status write_checkpoint_text(const std::string& path,
+                                                   std::string_view text);
+
+/// Strictly parses the bytes read from `path`: the parse half of
+/// load_checkpoint, shared with the delta-log loader so the base file is
+/// read once.  The fault site faults::kCheckpointCorrupt fires here.
+[[nodiscard]] common::Expected<CgCheckpoint> parse_checkpoint_file(
+    const std::string& path, std::string text);
+
 [[nodiscard]] inline common::Status parse_error(int line,
                                                 const std::string& what) {
   return common::Status::Error(

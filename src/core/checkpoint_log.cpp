@@ -322,8 +322,8 @@ CheckpointLogLoad load_checkpoint_log(const std::string& path) {
     if (!read_file(path, &base_text, &missing).ok()) {
       if (!missing) out.base_damaged = true;
     } else {
-      // Route through load_checkpoint for its fault hook + strict parse.
-      auto ck = load_checkpoint(path);
+      // The shared parse step keeps load_checkpoint's fault hook.
+      auto ck = detail::parse_checkpoint_file(path, std::move(base_text));
       if (ck.ok()) {
         out.state = std::move(ck.value());
         out.loaded = true;
@@ -489,10 +489,12 @@ CheckpointLogLoad CheckpointLog::open() {
 [[nodiscard]] common::Status CheckpointLog::compact(const CgCheckpoint& ckpt) {
   CgCheckpoint copy = ckpt;
   copy.base_seq = base_seq_ + 1;  // stale delta blocks can no longer bind
+  // Serialized once: the crash window, the write and the byte count all
+  // use these bytes.
+  const std::string text = serialize_checkpoint(copy);
   if (common::fault_fires(common::faults::kCheckpointCompactCrash)) {
     // Crash window: the temp file is half-written and never renamed.  The
     // previous base + chain stay fully loadable; the next save retries.
-    const std::string text = serialize_checkpoint(copy);
     std::FILE* f = std::fopen((path_ + ".tmp").c_str(), "wb");
     if (f != nullptr) {
       (void)std::fwrite(text.data(), 1, text.size() / 2, f);
@@ -503,7 +505,7 @@ CheckpointLogLoad CheckpointLog::open() {
         common::ErrorCode::kIoError,
         "checkpoint compaction crashed mid-write (injected fault)");
   }
-  const common::Status st = save_checkpoint(copy, path_);
+  const common::Status st = detail::write_checkpoint_text(path_, text);
   if (!st.ok()) {
     dirty_tail_ = true;
     return st;
@@ -513,8 +515,7 @@ CheckpointLogLoad CheckpointLog::open() {
   next_delta_seq_ = 1;
   deltas_since_compact_ = 0;
   dirty_tail_ = false;
-  stats_.full_bytes +=
-      static_cast<std::int64_t>(serialize_checkpoint(copy).size());
+  stats_.full_bytes += static_cast<std::int64_t>(text.size());
   ++stats_.full_saves;
   ++stats_.compactions;
   shadow_ = std::move(copy);

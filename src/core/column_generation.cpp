@@ -20,6 +20,26 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Under a deadline, each exact-pricing call gets
+///   min(exact.milp.time_limit_sec,
+///       max(kMilpBudgetFraction * remaining, kMinMilpBudgetSec))
+/// capped at the remaining budget itself, so the MILP budget shrinks as the
+/// deadline nears and a single pricing call can never blow through it.
+constexpr double kMilpBudgetFraction = 0.5;
+constexpr double kMinMilpBudgetSec = 0.05;
+/// Stall detection: this many consecutive iterations without relative LB/UB
+/// progress climb one rung of the escalation ladder (greedy pricing ->
+/// full-budget exact MILP -> dual-perturbation retry).  Duplicate and
+/// inconclusive pricing rounds escalate immediately.
+constexpr int kStallWindow = 15;
+/// Relative LB/UB movement below this counts as "no progress".
+constexpr double kStallRelProgress = 1e-9;
+/// Magnitude of the multiplicative dual perturbation of the last-resort
+/// repricing retry (columns found under perturbed duals are only accepted
+/// if they price negative under the true duals), and its RNG seed.
+constexpr double kDualPerturbation = 1e-5;
+constexpr std::uint64_t kPerturbationSeed = 0x5EEDF00D;
+
 /// Wall-clock budget of one solve.  The fault site lets tests script "the
 /// deadline expires mid-iteration" deterministically; once exhausted (for
 /// real or injected) it stays exhausted.
@@ -172,15 +192,13 @@ CgResult solve_cg_impl(const net::Network& net,
 
   // Reject malformed instances (NaN gains, negative demands, size
   // mismatches) before any solver arithmetic touches them.
-  if (options.validate_input) {
-    const check::InstanceReport report = check::validate_instance(net, demands);
-    if (!report.ok()) {
-      set_degraded(result, CgStopReason::kInvalidInput,
-                   common::Status::Error(common::ErrorCode::kInvalidInput,
-                                         report.to_string()));
-      result.solve_seconds = deadline.elapsed();
-      return result;
-    }
+  const check::InstanceReport report = check::validate_instance(net, demands);
+  if (!report.ok()) {
+    set_degraded(result, CgStopReason::kInvalidInput,
+                 common::Status::Error(common::ErrorCode::kInvalidInput,
+                                       report.to_string()));
+    result.solve_seconds = deadline.elapsed();
+    return result;
   }
 
   // A link that cannot reach even the lowest rate level alone on any
@@ -232,12 +250,6 @@ CgResult solve_cg_impl(const net::Network& net,
 
   MasterProblem master(net, effective);
   master.set_warm_start(options.warm_start_master);
-  {
-    lp::LpOptions lp_opts;
-    lp_opts.pricing = options.lp_pricing;
-    master.set_lp_options(lp_opts);
-    result.profile.lp_pricing_rule = lp::to_string(options.lp_pricing);
-  }
   for (const sched::Schedule& s : tdma_initial_columns(net)) {
     verify_column(s, "TDMA initial column");
     master.add_column(s);
@@ -313,11 +325,13 @@ CgResult solve_cg_impl(const net::Network& net,
 
   /// Per-call exact-pricing options under the deadline: the MILP budget
   /// shrinks with the remaining wall clock so one call can never blow
-  /// through the deadline.  `full` disables the early-stop target
-  /// (escalated / certification calls).
+  /// through the deadline.  Unless `full` (escalated / certification
+  /// calls), the pricer stops at the first improving column instead of the
+  /// true optimum; the final certification iteration always runs to
+  /// optimality.
   const auto budgeted_exact = [&](bool full) {
     MilpPricingOptions exact = options.exact;
-    if (!full && options.exact_early_stop) {
+    if (!full) {
       // Any column comfortably below zero reduced cost will do.
       exact.target_psi = 1.0 + 1e-4;
     } else {
@@ -327,8 +341,8 @@ CgResult solve_cg_impl(const net::Network& net,
     if (std::isfinite(remaining)) {
       double budget =
           std::min(exact.milp.time_limit_sec,
-                   std::max(options.milp_budget_fraction * remaining,
-                            options.min_milp_budget_sec));
+                   std::max(kMilpBudgetFraction * remaining,
+                            kMinMilpBudgetSec));
       budget = std::min(budget, std::max(remaining, 0.0));
       exact.milp.time_limit_sec = budget;
       // A real deadline makes the budget hard: push it into every node LP
@@ -347,7 +361,7 @@ CgResult solve_cg_impl(const net::Network& net,
   // 1 = full-budget exact MILP, 2 = full exact under perturbed duals.
   int escalation = 0;
   bool perturbation_spent = false;
-  common::Rng perturb_rng(options.perturbation_seed);
+  common::Rng perturb_rng(kPerturbationSeed);
   // Stall window: consecutive iterations without relative LB/UB progress.
   int no_progress_iters = 0;
   double prev_ub = kInf;
@@ -398,10 +412,10 @@ CgResult solve_cg_impl(const net::Network& net,
     if (perturbed) {
       perturbation_spent = true;
       for (double& v : lhp)
-        v = std::max(0.0, v * (1.0 + options.dual_perturbation *
+        v = std::max(0.0, v * (1.0 + kDualPerturbation *
                                          (perturb_rng.uniform() - 0.5)));
       for (double& v : llp)
-        v = std::max(0.0, v * (1.0 + options.dual_perturbation *
+        v = std::max(0.0, v * (1.0 + kDualPerturbation *
                                          (perturb_rng.uniform() - 0.5)));
       MMWAVE_LOG_WARN << "iteration " << iter
                       << ": repricing under perturbed duals (stall escape)";
@@ -477,10 +491,10 @@ CgResult solve_cg_impl(const net::Network& net,
     // ---- Stall window ---------------------------------------------------
     const double ub_scale = 1.0 + std::abs(mp.objective_slots);
     const bool ub_progress =
-        prev_ub - mp.objective_slots > options.stall_rel_progress * ub_scale;
+        prev_ub - mp.objective_slots > kStallRelProgress * ub_scale;
     const bool lb_progress =
         std::isfinite(best_lb) &&
-        best_lb - prev_lb > options.stall_rel_progress * (1.0 + std::abs(best_lb));
+        best_lb - prev_lb > kStallRelProgress * (1.0 + std::abs(best_lb));
     if (ub_progress || lb_progress) {
       no_progress_iters = 0;
       // Progress de-escalates: the expensive recovery modes are only for
@@ -515,8 +529,7 @@ CgResult solve_cg_impl(const net::Network& net,
     // only ever decided by a hard signal: duplicates, inconclusive pricing,
     // limits or the deadline.  A long degenerate-but-converging tail must
     // not be killed merely for a flat objective).
-    if (options.stall_window > 0 &&
-        no_progress_iters >= options.stall_window) {
+    if (no_progress_iters >= kStallWindow) {
       no_progress_iters = 0;
       escalate("no LB/UB progress over the stall window");
     }

@@ -61,20 +61,12 @@ struct CgOptions {
     exact.milp.time_limit_sec = 10.0;
     exact.milp.max_nodes = 50'000;
   }
-  /// In HeuristicThenExact mode, stop the exact pricer at the first
-  /// improving column instead of the true optimum (faster; the final
-  /// certification iteration always runs to optimality).
-  bool exact_early_stop = true;
   /// Warm-start every master solve from the previous optimal basis (the
   /// appended column enters nonbasic; phase 1 is skipped while the old
   /// basis stays primal-feasible).  Off = cold two-phase solve every
   /// iteration — the pre-incremental behavior, kept for A/B benchmarking
   /// and the warm/cold equivalence tests.
   bool warm_start_master = true;
-  /// Entering-variable pricing rule of the master LP's revised simplex
-  /// (lp/pricing.h): Dantzig (default) or steepest-edge.  Distinct from
-  /// `pricing`, which selects the column-generation pricing subproblem.
-  lp::PricingRule lp_pricing = lp::PricingRule::kDantzig;
   /// Run the independent certificate checkers (src/check) alongside the
   /// solve: an LP certificate of every master solve, a ScheduleVerifier
   /// pass over every column entering the pool, the Theorem-1 invariant
@@ -87,34 +79,14 @@ struct CgOptions {
   /// Wall-clock budget for the whole solve, seconds (0 disables).  On
   /// expiry the solve stops where it is and returns the incumbent schedule
   /// with its best Theorem-1 bound, `degraded` set and the reason recorded
-  /// — the anytime contract of Algorithm 1.
+  /// — the anytime contract of Algorithm 1.  Under a deadline each
+  /// exact-pricing call gets a MILP budget that shrinks with the remaining
+  /// time.  Independently of it, a stalled solve climbs an escalation
+  /// ladder (greedy -> full-budget exact -> dual-perturbation retry)
+  /// before it stops degraded, and malformed instances are rejected up
+  /// front (degraded + kInvalidInput).  The constants of the budget and
+  /// the ladder live in column_generation.cpp.
   double deadline_sec = 0.0;
-  /// Under a deadline, each exact-pricing call gets
-  ///   min(exact.milp.time_limit_sec,
-  ///       max(milp_budget_fraction * remaining, min_milp_budget_sec))
-  /// capped at the remaining budget itself, so the MILP budget shrinks as
-  /// the deadline nears and a single pricing call can never blow through
-  /// the deadline.
-  double milp_budget_fraction = 0.5;
-  double min_milp_budget_sec = 0.05;
-  /// Stall detection: this many consecutive iterations without relative
-  /// LB/UB progress (or a duplicate/inconclusive pricing round) trigger the
-  /// escalation ladder — greedy pricing -> full-budget exact MILP ->
-  /// dual-perturbation retry — and, exhausted, a degraded stop instead of
-  /// an endless loop.  0 disables the window (duplicate-column escalation
-  /// stays active).
-  int stall_window = 15;
-  /// Relative LB/UB movement below this counts as "no progress".
-  double stall_rel_progress = 1e-9;
-  /// Magnitude of the multiplicative dual perturbation of the last-resort
-  /// repricing retry (columns found under perturbed duals are only accepted
-  /// if they price negative under the true duals).
-  double dual_perturbation = 1e-5;
-  std::uint64_t perturbation_seed = 0x5EEDF00D;
-  /// Reject malformed instances (NaN/negative gains or demands, size
-  /// mismatches) via check::validate_instance before the solver touches
-  /// them; failures return degraded + kInvalidInput instead of UB/garbage.
-  bool validate_input = true;
 
   // --- Warm pool (checkpoint/resolve layer) -----------------------------
   /// Columns seeded into the master ahead of the CG loop, after the TDMA
@@ -193,8 +165,6 @@ struct CgProfile {
   std::int64_t lp_ftran_calls = 0;
   std::int64_t lp_btran_calls = 0;
   int lp_refactorizations = 0;
-  /// Pricing rule the master LPs ran ("dantzig" | "steepest-edge").
-  const char* lp_pricing_rule = "";
 
   /// Fraction of master solves that resumed from a prior basis.
   double warm_hit_rate() const {

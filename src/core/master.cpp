@@ -48,7 +48,7 @@ MasterSolution MasterProblem::solve(MasterCertificate* certificate) {
   const int num_links = net_.num_links();
 
   lp::LpSolution sol = lp::solve_lp(
-      model_, lp_options_, warm_start_enabled_ ? &warm_ : nullptr);
+      model_, {}, warm_start_enabled_ ? &warm_ : nullptr);
   if (!sol.optimal() && warm_start_enabled_) {
     // The warm path already falls back to a cold start when the stale basis
     // is unusable, but a breakdown *during* the cold re-solve (or a poisoned
@@ -59,7 +59,7 @@ MasterSolution MasterProblem::solve(MasterCertificate* certificate) {
     out.lp_stats.btran_calls += sol.stats.btran_calls;
     out.lp_stats.refactorizations += sol.stats.refactorizations;
     warm_.valid = false;
-    sol = lp::solve_lp(model_, lp_options_, &warm_);
+    sol = lp::solve_lp(model_, {}, &warm_);
   }
   if (certificate) {
     certificate->solution = sol;
@@ -69,7 +69,6 @@ MasterSolution MasterProblem::solve(MasterCertificate* certificate) {
   out.lp_stats.ftran_calls += sol.stats.ftran_calls;
   out.lp_stats.btran_calls += sol.stats.btran_calls;
   out.lp_stats.refactorizations += sol.stats.refactorizations;
-  out.lp_stats.pricing_rule = sol.stats.pricing_rule;
   out.warm_started = sol.warm_started;
   out.status = sol.error;
   if (!sol.optimal()) {

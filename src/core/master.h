@@ -52,8 +52,8 @@ struct MasterSolution {
   /// limit, infeasible restricted master...), Ok otherwise.  A warm solve
   /// that broke down numerically is retried cold once before failing.
   common::Status status;
-  /// Basis-engine work counters (FTRAN/BTRAN/refactorizations, pricing
-  /// rule), accumulated over the warm attempt and any cold retry.
+  /// Basis-engine work counters (FTRAN/BTRAN/refactorizations),
+  /// accumulated over the warm attempt and any cold retry.
   lp::LpStats lp_stats;
 };
 
@@ -92,11 +92,6 @@ class MasterProblem {
     if (!enabled) warm_.valid = false;
   }
 
-  /// Overrides the LP solver options used by every subsequent solve()
-  /// (pricing rule, dense-reference engine, tolerances...).  Defaults to
-  /// LpOptions{}.
-  void set_lp_options(const lp::LpOptions& options) { lp_options_ = options; }
-
   /// Reduced cost 1 - sum_l lambda . r of a candidate schedule under the
   /// given duals.  Rate columns of schedules already in the pool are served
   /// from the cache instead of being recomputed.
@@ -116,7 +111,6 @@ class MasterProblem {
   lp::LpModel model_;
   lp::WarmStart warm_;
   bool warm_start_enabled_ = true;
-  lp::LpOptions lp_options_;
 };
 
 }  // namespace mmwave::core

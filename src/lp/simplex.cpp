@@ -20,8 +20,17 @@ using common::Matrix;
 
 enum class VarState : std::uint8_t { Basic, AtLower, AtUpper, FreeNonbasic };
 
+/// Primal feasibility tolerance: bound consistency, the warm-basis
+/// feasibility test, the Harris ratio-test relaxation and the
+/// degenerate-step test.
+constexpr double kFeasibilityTol = 1e-7;
+/// Reduced-cost tolerance of pricing (scaled by 1 + max |c_j|).
+constexpr double kOptimalityTol = 1e-7;
+/// Consecutive non-improving pivots before switching to Bland's rule.
+constexpr int kStallThreshold = 60;
+
 /// Basis-representation engine of the revised simplex.  The iteration loop
-/// only ever talks to the basis through these six operations, so the sparse
+/// only ever talks to the basis through these five operations, so the sparse
 /// LU + eta-file engine (the default) and the historical dense
 /// explicit-inverse engine (LpOptions::dense_basis, the property-test
 /// reference) are interchangeable.
@@ -48,8 +57,6 @@ class BasisEngine {
   /// y = B^{-T} c.
   virtual void btran_dense(const std::vector<double>& c,
                            std::vector<double>& y) = 0;
-  /// rho = B^{-T} e_r — row r of B^{-1}, the pivot row steepest-edge needs.
-  virtual void btran_unit(int r, std::vector<double>& rho) = 0;
   /// Applies the basis change of a pivot at position r with FTRAN result d.
   /// False when the pivot element is numerically unusable for an update;
   /// the caller must refactorize instead.
@@ -110,12 +117,6 @@ class DenseEngine final : public BasisEngine {
     }
   }
 
-  void btran_unit(int r, std::vector<double>& rho) override {
-    rho.assign(m_, 0.0);
-    const double* row = binv_.row(r);
-    for (int k = 0; k < m_; ++k) rho[k] = row[k];
-  }
-
   bool update(const std::vector<double>& d, int r) override {
     const double pivot = d[r];
     if (std::abs(pivot) <= 1e-12) return false;
@@ -172,12 +173,6 @@ class SparseEngine final : public BasisEngine {
     lu_.btran(y);
   }
 
-  void btran_unit(int r, std::vector<double>& rho) override {
-    rho.assign(m_, 0.0);
-    rho[r] = 1.0;
-    lu_.btran(rho);
-  }
-
   bool update(const std::vector<double>& d, int r) override {
     return lu_.push_eta(d, r);
   }
@@ -206,7 +201,6 @@ class Simplex {
 
   LpSolution run(const LpModel& model, WarmStart* warm) {
     LpSolution sol;
-    sol.stats.pricing_rule = pricing_->name();
     if (bad_bounds_) {
       sol.status = SolveStatus::Infeasible;
       sol.error = common::Status::Error(common::ErrorCode::kInvalidInput,
@@ -249,7 +243,6 @@ class Simplex {
     }
     sol.error = describe(st);
     sol.stats = stats_;
-    sol.stats.pricing_rule = pricing_->name();
     return sol;
   }
 
@@ -303,7 +296,7 @@ class Simplex {
       const Variable& v = model.variable(j);
       lb_[j] = use_override ? lb_override[j] : v.lb;
       ub_[j] = use_override ? ub_override[j] : v.ub;
-      if (lb_[j] > ub_[j] + options_.feasibility_tol) bad_bounds_ = true;
+      if (lb_[j] > ub_[j] + kFeasibilityTol) bad_bounds_ = true;
       cost_[j] = maximize_ ? -v.cost : v.cost;
       // Structural columns come straight from the model's incrementally
       // maintained transpose view: O(nnz) instead of re-scanning every row.
@@ -367,8 +360,6 @@ class Simplex {
     } else {
       engine_ = std::make_unique<SparseEngine>(m_);
     }
-    pricing_ = make_pricing(options_.pricing);
-    pricing_->reset(num_cols_);
     deadline_stride_ = std::max(1, options_.deadline_check_stride);
   }
 
@@ -514,7 +505,7 @@ class Simplex {
     }
     if (!refactor_basis()) return false;
 
-    const double tol = options_.feasibility_tol * (1.0 + rhs_scale_);
+    const double tol = kFeasibilityTol * (1.0 + rhs_scale_);
     for (int i = 0; i < m_; ++i) {
       const int bj = basis_[i];
       if (xval_[bj] < lb_[bj] - tol || xval_[bj] > ub_[bj] + tol) return false;
@@ -610,7 +601,7 @@ class Simplex {
       ++stats_.ftran_calls;
       const std::vector<double>& d = d_;
 
-      // Ratio test.  Relaxed ratios (bound + feasibility_tol) are used only
+      // Ratio test.  Relaxed ratios (bound + kFeasibilityTol) are used only
       // to *select* the blocking variable (Harris-style, for numerical
       // stability); the actual step is the exact ratio of the winner, so
       // iterates land exactly on bounds.
@@ -632,12 +623,12 @@ class Simplex {
         int hits_upper;
         if (delta > 0) {
           if (!std::isfinite(ub_[bj])) continue;
-          t_rel = (ub_[bj] - xval_[bj] + options_.feasibility_tol) / delta;
+          t_rel = (ub_[bj] - xval_[bj] + kFeasibilityTol) / delta;
           t_ex = (ub_[bj] - xval_[bj]) / delta;
           hits_upper = 1;
         } else {
           if (!std::isfinite(lb_[bj])) continue;
-          t_rel = (lb_[bj] - xval_[bj] - options_.feasibility_tol) / delta;
+          t_rel = (lb_[bj] - xval_[bj] - kFeasibilityTol) / delta;
           t_ex = (lb_[bj] - xval_[bj]) / delta;
           hits_upper = 0;
         }
@@ -667,8 +658,8 @@ class Simplex {
       const double t = bound_flip ? range : t_exact;
 
       ++iterations_;
-      if (t <= options_.feasibility_tol) {
-        if (++stall > options_.stall_threshold) bland = true;
+      if (t <= kFeasibilityTol) {
+        if (++stall > kStallThreshold) bland = true;
       } else {
         stall = 0;
         bland = false;
@@ -695,12 +686,6 @@ class Simplex {
           leaving_hits_upper ? ub_[leaving_var] : lb_[leaving_var];
       basis_[leaving_pos] = entering;
       state_[entering] = VarState::Basic;
-
-      // Steepest-edge needs the pivot row of the PRE-pivot basis inverse,
-      // so the weights update runs before the engine absorbs the pivot.
-      if (pricing_->wants_pivot_row()) {
-        update_pricing_weights(entering, leaving_var, leaving_pos);
-      }
 
       if (!engine_->update(d_, leaving_pos)) {
         // Pivot element too small for a product-form/inverse update: a
@@ -736,12 +721,14 @@ class Simplex {
   }
 
   /// Returns the entering column, or -1 when the current basis is optimal.
-  /// Collects every violating candidate and delegates the choice to the
-  /// pricing rule; under Bland's rule the first (lowest-index) eligible
+  /// Dantzig's rule: the largest reduced-cost violation, ties to the lowest
+  /// column index (strict > over ascending columns), so pivot sequences are
+  /// deterministic.  Under Bland's rule the first (lowest-index) eligible
   /// column is taken unconditionally, preserving the anti-cycling proof.
-  int price(bool bland) {
-    const double tol = options_.optimality_tol * (1.0 + cost_scale_);
-    candidates_.clear();
+  int price(bool bland) const {
+    const double tol = kOptimalityTol * (1.0 + cost_scale_);
+    int best = -1;
+    double best_violation = 0.0;
     for (int j = 0; j < num_cols_; ++j) {
       if (state_[j] == VarState::Basic) continue;
       if (lb_[j] == ub_[j]) continue;  // fixed, never eligible
@@ -756,27 +743,12 @@ class Simplex {
       }
       if (violation <= tol) continue;
       if (bland) return j;  // first eligible (lowest index)
-      candidates_.push_back({j, violation});
+      if (violation > best_violation) {  // violation > tol > 0
+        best = j;
+        best_violation = violation;
+      }
     }
-    if (candidates_.empty()) return -1;
-    const int pick = pricing_->select(candidates_);
-    return pick >= 0 ? pick : candidates_.front().column;
-  }
-
-  /// Feeds the pivot row to the pricing rule: rho = B^{-T} e_r from the
-  /// pre-pivot basis, alpha_j = rho . a_j for every nonbasic column.
-  void update_pricing_weights(int entering, int leaving_var, int r) {
-    engine_->btran_unit(r, rho_);
-    ++stats_.btran_calls;
-    alpha_.assign(num_cols_, 0.0);
-    for (int j = 0; j < num_cols_; ++j) {
-      if (state_[j] == VarState::Basic || lb_[j] == ub_[j]) continue;
-      double a = 0.0;
-      for (const auto& [row, coef] : cols_[j]) a += rho_[row] * coef;
-      alpha_[j] = a;
-    }
-    alpha_[entering] = d_[r];
-    pricing_->update(entering, leaving_var, d_, r, alpha_);
+    return best;
   }
 
   /// Refactorizes the current basis through the engine and, on success,
@@ -887,12 +859,10 @@ class Simplex {
   std::vector<double> y_;
 
   std::unique_ptr<BasisEngine> engine_;
-  std::unique_ptr<Pricing> pricing_;
   LpStats stats_;
-  std::vector<PricingCandidate> candidates_;
-  // Reused per-pivot scratch (FTRAN direction, basic costs, pivot row,
-  // pricing alphas, refactorization rhs/values, diagonal install).
-  std::vector<double> d_, cb_, rho_, alpha_, rhs_, xb_, diag_;
+  // Reused per-pivot scratch (FTRAN direction, basic costs,
+  // refactorization rhs/values, diagonal install).
+  std::vector<double> d_, cb_, rhs_, xb_, diag_;
   std::vector<const std::vector<Term>*> basis_cols_;
 };
 

@@ -15,10 +15,10 @@
 //    refactorization; FTRAN/BTRAN solves replace explicit-inverse
 //    maintenance.  The historical dense explicit-inverse engine survives
 //    behind LpOptions::dense_basis as the property-test reference.
-//  * Pluggable pricing (lp::Pricing): Dantzig (default) or steepest-edge
-//    with incremental reference weights, with a Bland's-rule fallback once
-//    a run of degenerate pivots is detected, which guarantees termination
-//    under either rule.
+//  * Dantzig pricing (largest reduced-cost violation, ties to the lowest
+//    column index) with a Bland's-rule fallback once a run of degenerate
+//    pivots is detected, which guarantees termination.  Tolerances and the
+//    Bland trigger are fixed constants in simplex.cpp.
 //
 // Dual sign convention (Minimize): a >= row has dual >= 0, a <= row has
 // dual <= 0, an = row is unconstrained in sign.  For Maximize models the
@@ -32,7 +32,6 @@
 
 #include "common/status.h"
 #include "lp/model.h"
-#include "lp/pricing.h"
 
 namespace mmwave::lp {
 
@@ -54,15 +53,9 @@ struct LpOptions {
   /// kLimitHit error.  This is what lets a deadline preempt a long LP
   /// mid-solve instead of waiting out the iteration cap.
   double time_limit_sec = 0.0;
-  double feasibility_tol = 1e-7;
-  double optimality_tol = 1e-7;
   /// Refactorize the basis from scratch every this many pivots (bounds the
   /// eta file of the sparse engine, sheds drift on the dense one).
   int refactor_interval = 128;
-  /// Consecutive non-improving pivots before switching to Bland's rule.
-  int stall_threshold = 60;
-  /// Entering-variable pricing rule (see lp/pricing.h).
-  PricingRule pricing = PricingRule::kDantzig;
   /// Use the dense explicit-inverse basis engine instead of the sparse LU.
   /// Kept as the independently-implemented reference the revised solver is
   /// property-tested against, and for A/B benchmarks.
@@ -80,8 +73,6 @@ struct LpStats {
   std::int64_t btran_calls = 0;
   /// Full basis (re)factorizations, including the warm-start install.
   int refactorizations = 0;
-  /// Name of the pricing rule that ran ("dantzig" | "steepest-edge").
-  const char* pricing_rule = "";
 };
 
 struct LpSolution {
@@ -99,7 +90,7 @@ struct LpSolution {
   /// (kNumericalBreakdown, kLimitHit, kInfeasible, kUnbounded) plus a
   /// message saying where the solve gave out.
   common::Status error;
-  /// Basis-engine work counters (FTRAN/BTRAN/refactorization, pricing rule).
+  /// Basis-engine work counters (FTRAN/BTRAN/refactorization).
   LpStats stats;
 
   bool optimal() const { return status == SolveStatus::Optimal; }

@@ -1,8 +1,9 @@
 // Revised simplex vs the dense reference engine: on randomized seeded
 // sparse LPs (cold and warm-started with appended columns) the sparse
 // LU + eta engine must reproduce the dense explicit-inverse engine's
-// objective and duals to 1e-9, both pricing rules must reach the same
-// optimum, and every solution must stand on its own as a KKT certificate.
+// objective and duals to 1e-9, Dantzig ties must go to the lowest column
+// index on both engines, and every solution must stand on its own as a KKT
+// certificate.
 #include "lp/simplex.h"
 
 #include <gtest/gtest.h>
@@ -59,89 +60,91 @@ void expect_certificate_ok(const LpModel& m, const LpSolution& sol) {
   EXPECT_TRUE(rep.ok()) << rep.to_string();
 }
 
-LpOptions make_options(bool dense, PricingRule rule) {
+LpOptions make_options(bool dense) {
   LpOptions opt;
   opt.dense_basis = dense;
-  opt.pricing = rule;
   return opt;
 }
 
-// The tentpole equivalence property: on every random instance, all four
-// (engine x pricing rule) combinations find the same optimal objective to
-// 1e-9, and within a pricing rule the sparse engine reproduces the dense
-// engine's duals to 1e-9 (across rules the optimal basis may legitimately
-// differ under dual degeneracy).
-TEST(SimplexRevised, AllEnginePricingCombosAgreeOnRandomLps) {
+// The core equivalence property: on every random instance the sparse
+// engine finds the dense engine's optimal objective to 1e-9 and, running
+// the same pivot sequence to the same optimal basis, its duals to 1e-9.
+TEST(SimplexRevised, DenseAndSparseEnginesAgreeOnRandomLps) {
   common::Rng rng(0xC0FFEE);
   for (int trial = 0; trial < 25; ++trial) {
     const int rows = static_cast<int>(rng.uniform_int(3, 14));
     const int cols = rows + static_cast<int>(rng.uniform_int(1, 12));
     const LpModel m = random_mixed_lp(rng, rows, cols);
 
-    const LpSolution ref =
-        solve_lp(m, make_options(true, PricingRule::kDantzig));
-    ASSERT_TRUE(ref.optimal()) << "trial " << trial;
-    expect_certificate_ok(m, ref);
-    const double obj_tol = 1e-9 * (1.0 + std::abs(ref.objective));
-
-    for (const PricingRule rule :
-         {PricingRule::kDantzig, PricingRule::kSteepestEdge}) {
-      const LpSolution dense = solve_lp(m, make_options(true, rule));
-      const LpSolution sparse = solve_lp(m, make_options(false, rule));
-      ASSERT_TRUE(dense.optimal())
-          << "trial " << trial << " rule " << to_string(rule);
-      ASSERT_TRUE(sparse.optimal())
-          << "trial " << trial << " rule " << to_string(rule);
-      EXPECT_NEAR(dense.objective, ref.objective, obj_tol)
-          << "trial " << trial << " rule " << to_string(rule);
-      EXPECT_NEAR(sparse.objective, ref.objective, obj_tol)
-          << "trial " << trial << " rule " << to_string(rule);
-      // Same pricing rule => same pivot sequence => identical optimal basis,
-      // so the duals must agree engine-to-engine to numerical tolerance.
-      ASSERT_EQ(dense.duals.size(), sparse.duals.size());
-      for (std::size_t i = 0; i < dense.duals.size(); ++i) {
-        EXPECT_NEAR(dense.duals[i], sparse.duals[i], 1e-9)
-            << "trial " << trial << " rule " << to_string(rule) << " row "
-            << i;
-      }
-      expect_certificate_ok(m, dense);
-      expect_certificate_ok(m, sparse);
+    const LpSolution dense = solve_lp(m, make_options(true));
+    const LpSolution sparse = solve_lp(m, make_options(false));
+    ASSERT_TRUE(dense.optimal()) << "trial " << trial;
+    ASSERT_TRUE(sparse.optimal()) << "trial " << trial;
+    EXPECT_NEAR(sparse.objective, dense.objective,
+                1e-9 * (1.0 + std::abs(dense.objective)))
+        << "trial " << trial;
+    ASSERT_EQ(dense.duals.size(), sparse.duals.size());
+    for (std::size_t i = 0; i < dense.duals.size(); ++i) {
+      EXPECT_NEAR(dense.duals[i], sparse.duals[i], 1e-9)
+          << "trial " << trial << " row " << i;
     }
+    expect_certificate_ok(m, dense);
+    expect_certificate_ok(m, sparse);
+  }
+}
+
+// Dantzig ties go to the lowest column index.  In  max x0 + x1  s.t.
+// x0 + x1 <= 1  the first phase-1 pass prices x0, x1 and the row slack at
+// the same violation; x0 must enter on the first pivot and stay at 1 in
+// the (degenerate) optimum, on both engines.
+TEST(SimplexRevised, DantzigTieGoesToLowestColumn) {
+  LpModel m;
+  m.set_objective_sense(ObjSense::Maximize);
+  m.add_variable(0.0, kInfinity, 1.0);
+  m.add_variable(0.0, kInfinity, 1.0);
+  m.add_constraint({{0, 1.0}, {1, 1.0}}, Sense::Le, 1.0);
+
+  for (const bool dense : {false, true}) {
+    LpOptions one_pivot = make_options(dense);
+    one_pivot.max_iterations = 1;
+    const LpSolution first = solve_lp(m, one_pivot);
+    EXPECT_EQ(first.status, SolveStatus::IterationLimit) << "dense " << dense;
+    ASSERT_EQ(first.x.size(), 2u);
+    EXPECT_EQ(first.x[0], 1.0) << "dense " << dense;
+    EXPECT_EQ(first.x[1], 0.0) << "dense " << dense;
+
+    const LpSolution sol = solve_lp(m, make_options(dense));
+    ASSERT_TRUE(sol.optimal()) << "dense " << dense;
+    EXPECT_EQ(sol.x[0], 1.0) << "dense " << dense;
+    EXPECT_EQ(sol.x[1], 0.0) << "dense " << dense;
+    expect_certificate_ok(m, sol);
   }
 }
 
 // Appended-column warm starts on the sparse engine: the revised warm solve
-// must match a dense cold solve to 1e-9 and carry a valid certificate,
-// under both pricing rules.
+// must match a dense cold solve to 1e-9 and carry a valid certificate.
 TEST(SimplexRevised, WarmAppendMatchesDenseColdSolve) {
-  for (const PricingRule rule :
-       {PricingRule::kDantzig, PricingRule::kSteepestEdge}) {
-    common::Rng rng(0x5EED5 + static_cast<std::uint64_t>(rule));
-    for (int trial = 0; trial < 10; ++trial) {
-      const int rows = static_cast<int>(rng.uniform_int(4, 11));
-      const int cols = rows + static_cast<int>(rng.uniform_int(1, 8));
-      LpModel m = random_mixed_lp(rng, rows, cols);
+  common::Rng rng(0x5EED5);
+  for (int trial = 0; trial < 10; ++trial) {
+    const int rows = static_cast<int>(rng.uniform_int(4, 11));
+    const int cols = rows + static_cast<int>(rng.uniform_int(1, 8));
+    LpModel m = random_mixed_lp(rng, rows, cols);
 
-      WarmStart warm;
-      LpSolution sol = solve_lp(m, make_options(false, rule), &warm);
-      ASSERT_TRUE(sol.optimal()) << "trial " << trial;
-      ASSERT_TRUE(warm.valid);
+    WarmStart warm;
+    LpSolution sol = solve_lp(m, make_options(false), &warm);
+    ASSERT_TRUE(sol.optimal()) << "trial " << trial;
+    ASSERT_TRUE(warm.valid);
 
-      for (int growth = 0; growth < 4; ++growth) {
-        append_column(m, rng);
-        const LpSolution cold =
-            solve_lp(m, make_options(true, PricingRule::kDantzig));
-        sol = solve_lp(m, make_options(false, rule), &warm);
-        ASSERT_TRUE(cold.optimal());
-        ASSERT_TRUE(sol.optimal())
-            << "trial " << trial << " growth " << growth << " rule "
-            << to_string(rule);
-        EXPECT_NEAR(sol.objective, cold.objective,
-                    1e-9 * (1.0 + std::abs(cold.objective)))
-            << "trial " << trial << " growth " << growth << " rule "
-            << to_string(rule);
-        expect_certificate_ok(m, sol);
-      }
+    for (int growth = 0; growth < 4; ++growth) {
+      append_column(m, rng);
+      const LpSolution cold = solve_lp(m, make_options(true));
+      sol = solve_lp(m, make_options(false), &warm);
+      ASSERT_TRUE(cold.optimal());
+      ASSERT_TRUE(sol.optimal()) << "trial " << trial << " growth " << growth;
+      EXPECT_NEAR(sol.objective, cold.objective,
+                  1e-9 * (1.0 + std::abs(cold.objective)))
+          << "trial " << trial << " growth " << growth;
+      expect_certificate_ok(m, sol);
     }
   }
 }
@@ -160,9 +163,9 @@ TEST(SimplexRevised, BoundsOverrideMatchesDense) {
       if (rng.bernoulli(0.2)) lb[j] = rng.uniform(0.0, 1.0);
     }
     const LpSolution dense =
-        solve_lp_with_bounds(m, lb, ub, make_options(true, PricingRule::kDantzig));
-    const LpSolution sparse = solve_lp_with_bounds(
-        m, lb, ub, make_options(false, PricingRule::kDantzig));
+        solve_lp_with_bounds(m, lb, ub, make_options(true));
+    const LpSolution sparse =
+        solve_lp_with_bounds(m, lb, ub, make_options(false));
     ASSERT_EQ(dense.status, sparse.status) << "trial " << trial;
     if (!dense.optimal()) continue;
     EXPECT_NEAR(sparse.objective, dense.objective,
@@ -172,25 +175,17 @@ TEST(SimplexRevised, BoundsOverrideMatchesDense) {
 }
 
 // The work counters must reflect what actually ran: FTRAN at least once per
-// pivot, the pricing-rule name matching the option, and steepest-edge
-// paying its extra BTRAN per pivot.
+// pivot, and at most one BTRAN (the duals) per pricing pass — one pass per
+// pivot plus the final optimality pass of each phase.
 TEST(SimplexRevised, StatsReportEngineWork) {
   common::Rng rng(0x57A7);
   const LpModel m = random_mixed_lp(rng, 10, 18);
 
-  const LpSolution dantzig =
-      solve_lp(m, make_options(false, PricingRule::kDantzig));
-  ASSERT_TRUE(dantzig.optimal());
-  EXPECT_STREQ(dantzig.stats.pricing_rule, "dantzig");
-  EXPECT_GE(dantzig.stats.ftran_calls, dantzig.iterations);
-  EXPECT_GT(dantzig.stats.btran_calls, 0);
-
-  const LpSolution steepest =
-      solve_lp(m, make_options(false, PricingRule::kSteepestEdge));
-  ASSERT_TRUE(steepest.optimal());
-  EXPECT_STREQ(steepest.stats.pricing_rule, "steepest-edge");
-  // One BTRAN for duals per pricing pass plus one per basis-changing pivot.
-  EXPECT_GT(steepest.stats.btran_calls, steepest.iterations);
+  const LpSolution sol = solve_lp(m, make_options(false));
+  ASSERT_TRUE(sol.optimal());
+  EXPECT_GE(sol.stats.ftran_calls, sol.iterations);
+  EXPECT_GT(sol.stats.btran_calls, 0);
+  EXPECT_LE(sol.stats.btran_calls, sol.iterations + 2);
 }
 
 // An already-expired deadline must preempt the solve at the very first
@@ -211,10 +206,10 @@ TEST(SimplexRevised, ExpiredDeadlineFiresDespiteStride) {
 TEST(SimplexRevised, FrequentRefactorizationIsLossless) {
   common::Rng rng(0xFACF);
   const LpModel m = random_mixed_lp(rng, 10, 16);
-  const LpSolution ref = solve_lp(m, make_options(true, PricingRule::kDantzig));
+  const LpSolution ref = solve_lp(m, make_options(true));
   ASSERT_TRUE(ref.optimal());
 
-  LpOptions opt = make_options(false, PricingRule::kDantzig);
+  LpOptions opt = make_options(false);
   opt.refactor_interval = 2;
   const LpSolution sol = solve_lp(m, opt);
   ASSERT_TRUE(sol.optimal());

@@ -50,15 +50,17 @@ endfunction()
 run(0 "" solve --links=4 --channels=2 --pricing=heuristic)
 run(0 "" help)
 
-# --- master-LP pricing rule: --pricing combines the CG mode with the simplex
-# rule as comma-separated tokens; --profile reports the rule that ran plus
-# the basis-engine work counters.
-run(0 "" solve --links=4 --channels=2 --pricing=dantzig)
-run(0 "" solve --links=4 --channels=2 --pricing=heuristic,steepest)
-run(0 "lp engine +pricing=steepest-edge.*ftran.*btran.*refactorizations"
-    solve --links=4 --channels=2 --pricing=heuristic,steepest --profile)
-run(0 "lp engine +pricing=dantzig"
+# --- --pricing takes exactly one CG pricing mode; the master LP has one
+# simplex rule (Dantzig), so rule names and comma lists are rejected.
+# --profile reports the basis-engine work counters.
+run(0 "lp engine +[0-9]+ ftran, [0-9]+ btran, [0-9]+ refactorizations"
     solve --links=4 --channels=2 --pricing=heuristic --profile)
+run(2 "error: --pricing: expected heuristic\\|hybrid\\|exact"
+    solve --links=4 --channels=2 --pricing=dantzig)
+run(2 "error: --pricing: expected heuristic\\|hybrid\\|exact"
+    solve --links=4 --channels=2 --pricing=heuristic,steepest)
+run(2 "error: --pricing: expected heuristic\\|hybrid\\|exact"
+    solve --links=4 --channels=2 --pricing=steepest --profile)
 run(2 "error: --pricing: expected heuristic\\|hybrid\\|exact"
     solve --links=4 --pricing=hybrid,quantum)
 

@@ -42,9 +42,8 @@
 //       --state resumes without losing or repeating a request.
 //
 // Instance flags (shared): --links --channels --levels --gamma-scale
-//   --seed --demand-scale --pricing=MODE[,RULE] where MODE is the CG
-//   pricing mode (heuristic|hybrid|exact) and RULE the master-LP simplex
-//   pricing rule (dantzig|steepest)
+//   --seed --demand-scale --pricing=heuristic|hybrid|exact (the CG
+//   pricing mode)
 //   --instance=FILE (key=value spec, flags override) --deadline=SECONDS
 //
 // Exit status (DESIGN.md section 7):
@@ -105,7 +104,6 @@ struct InstanceFlags {
   double demand_scale = 1e-3;
   double deadline_sec = 0.0;
   core::PricingMode pricing = core::PricingMode::HeuristicThenExact;
-  lp::PricingRule lp_pricing = lp::PricingRule::kDantzig;
 };
 
 /// Strict instance-flag parsing: a malformed value ("--links=abc",
@@ -161,31 +159,19 @@ struct InstanceFlags {
   if (!deadline.ok()) return deadline.status();
   f.deadline_sec = deadline.value();
 
-  // --pricing takes a comma-separated token list mixing the CG pricing mode
-  // (heuristic|hybrid|exact) with the master-LP simplex pricing rule
-  // (dantzig|steepest), e.g. --pricing=hybrid,steepest.  Either kind may
-  // appear alone; unknown tokens are a structured error.
-  std::string pricing = flags.get_string("pricing", "hybrid");
-  while (!pricing.empty()) {
-    const std::size_t comma = pricing.find(',');
-    const std::string token = pricing.substr(0, comma);
-    pricing = comma == std::string::npos ? "" : pricing.substr(comma + 1);
-    if (token == "heuristic") {
-      f.pricing = core::PricingMode::HeuristicOnly;
-    } else if (token == "exact") {
-      f.pricing = core::PricingMode::ExactAlways;
-    } else if (token == "hybrid") {
-      f.pricing = core::PricingMode::HeuristicThenExact;
-    } else {
-      const auto rule = lp::parse_pricing_rule(token);
-      if (!rule.ok()) {
-        return common::Status::Error(
-            common::ErrorCode::kInvalidInput,
-            "--pricing: expected heuristic|hybrid|exact and/or "
-            "dantzig|steepest, got '" + token + "'");
-      }
-      f.lp_pricing = rule.value();
-    }
+  // --pricing names the CG pricing mode; anything else is a structured
+  // error.
+  const std::string pricing = flags.get_string("pricing", "hybrid");
+  if (pricing == "heuristic") {
+    f.pricing = core::PricingMode::HeuristicOnly;
+  } else if (pricing == "exact") {
+    f.pricing = core::PricingMode::ExactAlways;
+  } else if (pricing == "hybrid") {
+    f.pricing = core::PricingMode::HeuristicThenExact;
+  } else {
+    return common::Status::Error(
+        common::ErrorCode::kInvalidInput,
+        "--pricing: expected heuristic|hybrid|exact, got '" + pricing + "'");
   }
   return f;
 }
@@ -311,7 +297,6 @@ int cmd_solve(const common::CliFlags& flags) {
   Instance inst = build_instance(f);
   core::CgOptions opts;
   opts.pricing = f.pricing;
-  opts.lp_pricing = f.lp_pricing;
   opts.deadline_sec = f.deadline_sec;
   opts.warm_start_master = flags.get_int("warm-start", 1) != 0;
   core::CgResult result;
@@ -368,9 +353,9 @@ int cmd_solve(const common::CliFlags& flags) {
                 "(hit rate %.0f%%)\n",
                 p.master_warm_hits, p.master_solves,
                 100.0 * p.warm_hit_rate());
-    std::printf("  lp engine       pricing=%s  %lld ftran, %lld btran, "
+    std::printf("  lp engine       %lld ftran, %lld btran, "
                 "%d refactorizations\n",
-                p.lp_pricing_rule, static_cast<long long>(p.lp_ftran_calls),
+                static_cast<long long>(p.lp_ftran_calls),
                 static_cast<long long>(p.lp_btran_calls),
                 p.lp_refactorizations);
     std::printf("  pricing_greedy  %8.3f ms  (%d calls)\n",
@@ -430,7 +415,6 @@ int cmd_compare(const common::CliFlags& flags) {
 
   core::CgOptions opts;
   opts.pricing = f.pricing;
-  opts.lp_pricing = f.lp_pricing;
   opts.deadline_sec = f.deadline_sec;
   const auto cg = core::solve_column_generation(inst.net, inst.demands, opts);
   const int health = report_solve_health(cg);
@@ -679,7 +663,6 @@ int cmd_resolve(const common::CliFlags& flags) {
 
   core::CgOptions opts;
   opts.pricing = f.pricing;
-  opts.lp_pricing = f.lp_pricing;
   opts.deadline_sec = f.deadline_sec;
   core::ResolveOptions ropts;
   ropts.repair = repair.value();
@@ -739,7 +722,6 @@ int cmd_check(const common::CliFlags& flags) {
   Instance inst = build_instance(f);
   core::CgOptions opts;
   opts.pricing = f.pricing;
-  opts.lp_pricing = f.lp_pricing;
   opts.deadline_sec = f.deadline_sec;
   opts.verify = true;
   const auto result =
@@ -997,11 +979,8 @@ int main(int argc, char** argv) {
       "usage: mmwave_cli <solve|compare|stream|resolve|check|serve>"
       " [--links=N]\n"
       "       [--channels=K] [--levels=Q] [--gamma-scale=x] [--seed=s]\n"
-      "       [--demand-scale=d] [--pricing=MODE[,RULE]]\n"
+      "       [--demand-scale=d] [--pricing=heuristic|hybrid|exact]\n"
       "       [--instance=FILE] [--deadline=SECONDS]\n"
-      "  --pricing combines the CG mode (heuristic|hybrid|exact) with the\n"
-      "          master-LP simplex rule (dantzig|steepest), e.g.\n"
-      "          --pricing=hybrid,steepest; either may appear alone\n"
       "  solve   also accepts --csv=plan.csv --profile --warm-start=0|1\n"
       "          --checkpoint=FILE (save solver state) --resume (warm-start\n"
       "          from that checkpoint; fingerprint must match)\n"

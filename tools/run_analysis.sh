@@ -241,9 +241,9 @@ fi
 
 # ---- Leg 6: perf bench (BENCH_cg.json) ------------------------------------
 # The warm/cold CG master comparison the PR-level perf claims come from,
-# plus the revised-vs-dense simplex engine and Dantzig-vs-steepest pricing
-# arms (BM_RevisedVsDense{,Warm}, BM_SimplexPricing) — perf_solvers runs
-# its full suite, so new arms land in BENCH_cg.json automatically.
+# plus the revised-vs-dense simplex engine arms (BM_RevisedVsDense{,Warm})
+# — perf_solvers runs its full suite, so new arms land in BENCH_cg.json
+# automatically.
 # A missing binary is a failure, not a skip: the bench target silently
 # falling out of the build would otherwise go unnoticed.
 if [[ "$FAST" == 0 && "$ROBUSTNESS" == 0 && "$COVERAGE_ONLY" == 0 \
